@@ -68,29 +68,32 @@
 // report form of `rnuma-trace diffstats`, without the exit-status gate —
 // then exits without running any -exp experiment.
 //
+// Every experiment runs through internal/experiment, the executor the
+// rnuma-serve daemon also uses: this command only parses flags into an
+// experiment.Request, resolves its files (or the -sweep-app recording)
+// into bytes, and writes -grid-json.
+//
 // Exit status: 0 on success, 1 on runtime errors (bad trace files,
-// simulation failures), 2 on usage errors — unknown flags, axes, or
-// unparseable -sweep-values/-grid-values-* entries (the offending token
-// is named on stderr).
+// simulation failures), 2 on usage errors — unknown flags, experiments,
+// axes, figures, or applications, and unparseable -sweep-values/
+// -grid-values-* entries (the offending token is named on stderr).
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 
 	"rnuma/internal/config"
+	"rnuma/internal/experiment"
 	"rnuma/internal/harness"
-	"rnuma/internal/model"
-	"rnuma/internal/report"
-	"rnuma/internal/stats"
 	"rnuma/internal/telemetry"
 	"rnuma/internal/tracefile"
 	"rnuma/internal/workloads"
@@ -100,392 +103,297 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// exitCode carries die/dieUsage's status through panic to run's recover,
-// so the deeply nested experiment blocks keep their straight-line error
-// handling while run stays testable (no os.Exit mid-flight).
-type exitCode int
+// options holds the parsed flags.
+type options struct {
+	exp, apps, specs, traces                   string
+	scale                                      float64
+	seed, window                               int64
+	parallel                                   int
+	verbose, progress                          bool
+	sweepTrace, sweepApp, sweepNodes           string
+	sweepAxis, sweepVals, dilateVals           string
+	geomAxis, geomVals                         string
+	gridAxes, gridValsA, gridValsB             string
+	gridBound                                  float64
+	gridJSON, trafficSpec, diffPair, diffProto string
+}
+
+// usageError marks an error that exits 2 rather than 1.
+type usageError struct{ error }
+
+func usage(format string, args ...any) error { return usageError{fmt.Errorf(format, args...)} }
 
 // run executes the CLI against injectable streams and returns the
 // process exit code: 0 success, 1 runtime error, 2 usage error.
-func run(args []string, stdout, stderr io.Writer) (code int) {
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
 	fs := flag.NewFlagSet("rnuma-experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		exp         = fs.String("exp", "all", "experiment: all, fig5, table4, fig6, fig7, fig8, fig9, model, lu, sweep, dilate, geometry, grid, timeline, traffic")
-		apps        = fs.String("apps", "", "comma-separated application subset (default: all ten)")
-		specs       = fs.String("specs", "", "comma-separated workload spec files to add as applications")
-		traces      = fs.String("traces", "", "comma-separated recorded trace files to add as applications")
-		scale       = fs.Float64("scale", 1.0, "workload scale (iteration multiplier)")
-		seed        = fs.Int64("seed", 0, "workload RNG seed (0 = built-in fixed seeds)")
-		parallel    = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-		verbose     = fs.Bool("v", false, "log run progress")
-		sweepTrace  = fs.String("sweep-trace", "", "recorded trace to sweep (default: record -sweep-app at the 8x4 base shape)")
-		sweepApp    = fs.String("sweep-app", "em3d", "catalog application to record for the sweep when no -sweep-trace is given")
-		sweepNodes  = fs.String("sweep-nodes", "4,8,16", "comma-separated node counts for -exp sweep")
-		sweepAxis   = fs.String("sweep-axis", "nodes", "-exp sweep axis: nodes, dilate, block, page, threshold")
-		sweepVals   = fs.String("sweep-values", "", "comma-separated values for -sweep-axis (default per axis)")
-		dilateVals  = fs.String("dilate-factors", "1/2,1,2,4", "comma-separated gap scale factors for -exp dilate")
-		geomAxis    = fs.String("geometry-axis", "block", "-exp geometry axis: block or page")
-		geomVals    = fs.String("geometry-values", "", "comma-separated sizes in bytes (default 16,32,64,128 for block; 2048,4096,8192 for page)")
-		gridAxes    = fs.String("grid-axes", "block,threshold", "-exp grid axes \"x,y\"; the x transform applies first")
-		gridValsA   = fs.String("grid-values-a", "", "comma-separated values for the first grid axis (default per axis)")
-		gridValsB   = fs.String("grid-values-b", "", "comma-separated values for the second grid axis (default per axis)")
-		gridBound   = fs.Float64("grid-bound", 0, "knee bound on R-NUMA/best for -exp grid (0 = default 1.10)")
-		gridJSON    = fs.String("grid-json", "", "also write -exp grid's JSON document to this file")
-		trafficSpec = fs.String("traffic", "", "traffic scenario file for -exp traffic")
-		diffPair    = fs.String("diff", "", "two traces \"a.trace,b.trace\" to replay and diff counter-by-counter")
-		diffProto   = fs.String("diff-protocol", "rnuma", "protocol for -diff: ccnuma, scoma, rnuma, ideal")
-		window      = fs.Int64("window", 0, "telemetry window in references (0 = off; -exp timeline defaults it)")
-		progress    = fs.Bool("progress", false, "report scheduler progress (jobs done, refs/s) to stderr")
-	)
+	fs.StringVar(&o.exp, "exp", "all", "experiment: all, fig5, table4, fig6, fig7, fig8, fig9, model, lu, sweep, dilate, geometry, grid, timeline, traffic")
+	fs.StringVar(&o.apps, "apps", "", "comma-separated application subset (default: all ten)")
+	fs.StringVar(&o.specs, "specs", "", "comma-separated workload spec files to add as applications")
+	fs.StringVar(&o.traces, "traces", "", "comma-separated recorded trace files to add as applications")
+	fs.Float64Var(&o.scale, "scale", 1.0, "workload scale (iteration multiplier)")
+	fs.Int64Var(&o.seed, "seed", 0, "workload RNG seed (0 = built-in fixed seeds)")
+	fs.IntVar(&o.parallel, "parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
+	fs.BoolVar(&o.verbose, "v", false, "log run progress")
+	fs.StringVar(&o.sweepTrace, "sweep-trace", "", "recorded trace to sweep (default: record -sweep-app at the 8x4 base shape)")
+	fs.StringVar(&o.sweepApp, "sweep-app", "em3d", "catalog application to record for the sweep when no -sweep-trace is given")
+	fs.StringVar(&o.sweepNodes, "sweep-nodes", "4,8,16", "comma-separated node counts for -exp sweep")
+	fs.StringVar(&o.sweepAxis, "sweep-axis", "nodes", "-exp sweep axis: nodes, dilate, block, page, threshold")
+	fs.StringVar(&o.sweepVals, "sweep-values", "", "comma-separated values for -sweep-axis (default per axis)")
+	fs.StringVar(&o.dilateVals, "dilate-factors", "1/2,1,2,4", "comma-separated gap scale factors for -exp dilate")
+	fs.StringVar(&o.geomAxis, "geometry-axis", "block", "-exp geometry axis: block or page")
+	fs.StringVar(&o.geomVals, "geometry-values", "", "comma-separated sizes in bytes (default 16,32,64,128 for block; 2048,4096,8192 for page)")
+	fs.StringVar(&o.gridAxes, "grid-axes", "block,threshold", "-exp grid axes \"x,y\"; the x transform applies first")
+	fs.StringVar(&o.gridValsA, "grid-values-a", "", "comma-separated values for the first grid axis (default per axis)")
+	fs.StringVar(&o.gridValsB, "grid-values-b", "", "comma-separated values for the second grid axis (default per axis)")
+	fs.Float64Var(&o.gridBound, "grid-bound", 0, "knee bound on R-NUMA/best for -exp grid (0 = default 1.10)")
+	fs.StringVar(&o.gridJSON, "grid-json", "", "also write -exp grid's JSON document to this file")
+	fs.StringVar(&o.trafficSpec, "traffic", "", "traffic scenario file for -exp traffic")
+	fs.StringVar(&o.diffPair, "diff", "", "two traces \"a.trace,b.trace\" to replay and diff counter-by-counter")
+	fs.StringVar(&o.diffProto, "diff-protocol", "rnuma", "protocol for -diff: ccnuma, scoma, rnuma, ideal")
+	fs.Int64Var(&o.window, "window", 0, "telemetry window in references (0 = off; -exp timeline defaults it)")
+	fs.BoolVar(&o.progress, "progress", false, "report scheduler progress (jobs done, refs/s) to stderr")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			c, ok := r.(exitCode)
-			if !ok {
-				panic(r)
-			}
-			code = int(c)
+	if err := o.run(stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "rnuma-experiments: %v\n", err)
+		if errors.As(err, new(usageError)) {
+			return 2
 		}
-	}()
-	// die reports a runtime error (exit 1); dieUsage a usage error —
-	// unknown axes, unparseable value lists, malformed flag pairs —
-	// (exit 2). Both are no-ops on nil.
-	fail := func(err error, c exitCode) {
-		if err != nil {
-			fmt.Fprintf(stderr, "rnuma-experiments: %v\n", err)
-			panic(c)
-		}
+		return 1
 	}
-	die := func(err error) { fail(err, 1) }
-	dieUsage := func(err error) { fail(err, 2) }
+	return 0
+}
 
-	list := harness.AllApps()
-	if *apps != "" {
-		list = strings.Split(*apps, ",")
+func (o *options) run(stdout, stderr io.Writer) error {
+	req, err := o.request()
+	if err != nil {
+		return err
 	}
-	h := harness.New(*scale)
-	h.Seed = *seed
-	h.Workers = *parallel
-	if *verbose {
+	h := harness.New(o.scale)
+	h.Seed = o.seed
+	h.Workers = o.parallel
+	if o.verbose {
 		h.Log = stderr
 	}
-	if *progress {
+	if o.progress {
 		h.Progress = stderr
 	}
 	// -window attaches the sampling probe to every simulation the harness
 	// runs; figures are unaffected (they read counters, not timelines).
-	h.Telemetry = telemetry.Config{Window: *window}
+	h.Telemetry = telemetry.Config{Window: o.window}
 
-	// -diff is a standalone mode: replay the two captures under one
-	// configuration, print the per-counter delta table, and exit. Unlike
-	// `rnuma-trace diffstats` it always exits 0 on a successful
-	// comparison — this is the report form, not the regression gate.
-	if *diffPair != "" {
-		paths := splitList(*diffPair)
+	// -diff is a standalone mode; everything else registers -specs and
+	// -traces, whose rows join every selected figure.
+	if req.Type != "diffstats" {
+		if req.Apps, err = o.register(h, stderr); err != nil {
+			return err
+		}
+	}
+	if err := experiment.Validate(req, h.Sources()...); err != nil {
+		return usageError{err}
+	}
+	in, err := o.inputs(req)
+	if err != nil {
+		return err
+	}
+	// -diff is the report form of `rnuma-trace diffstats`: it prints the
+	// delta table under a header and exits 0 on any successful comparison.
+	if req.Type == "diffstats" {
+		sys, err := config.SystemByName(o.diffProto)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "diff %s vs %s (%s)\n\n", in[0].Name, in[1].Name, sys.Name)
+	}
+	doc, err := experiment.Execute(h, stdout, req, in...)
+	if err != nil {
+		return err
+	}
+	if req.Type == "grid" && o.gridJSON != "" {
+		b, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(o.gridJSON, append(b, '\n'), 0o644)
+	}
+	return nil
+}
+
+// figureExps maps -exp names to the executor's figure lists. Selecting
+// "all" runs the evaluation as one deduplicated concurrent plan.
+var figureExps = map[string][]string{
+	"all":   {"model", "5", "table4", "6", "7", "8", "9", "lu"},
+	"model": {"model"}, "fig5": {"5"}, "table4": {"table4"}, "fig6": {"6"},
+	"fig7": {"7"}, "fig8": {"8"}, "fig9": {"9"}, "lu": {"lu"},
+}
+
+// defaultValues are each sweep axis's values when its flag is empty.
+var defaultValues = map[harness.Axis]string{
+	harness.AxisNodes:     "4,8,16",
+	harness.AxisDilate:    "1/2,1,2,4",
+	harness.AxisBlockSize: "16,32,64,128",
+	harness.AxisPageSize:  "2048,4096,8192",
+	harness.AxisThreshold: "16,64,256,1024",
+}
+
+// request turns the flags into the executor's request. The sensitivity
+// experiments (sweep, dilate, geometry, grid, timeline) and traffic need
+// an input file, so they run only when selected by name, never under
+// "all".
+func (o *options) request() (experiment.Request, error) {
+	if o.diffPair != "" {
+		paths := splitList(o.diffPair)
 		if len(paths) != 2 {
-			dieUsage(fmt.Errorf("-diff wants exactly two traces, got %q", *diffPair))
+			return experiment.Request{}, usage("-diff wants exactly two traces, got %q", o.diffPair)
 		}
-		sys, err := config.SystemByName(*diffProto)
-		die(err)
-		a, err := harness.ReplayFile(paths[0], sys)
-		die(err)
-		b, err := harness.ReplayFile(paths[1], sys)
-		die(err)
-		fmt.Fprintf(stdout, "diff %s vs %s (%s)\n\n", paths[0], paths[1], sys.Name)
-		report.DeltaTable(stdout, paths[0], paths[1], stats.Diff(a.Run, b.Run), false)
-		return 0
+		return experiment.Request{Type: "diffstats", System: o.diffProto, Artifact: paths[0], ArtifactB: paths[1]}, nil
 	}
-
-	// Spec and trace files join the application list: every selected
-	// figure then carries their rows next to the catalog's. A registered
-	// source shadows a same-named catalog generator, so a name already in
-	// the list (via -apps) is not appended again — the row would be the
-	// source replay twice, never the generator-vs-trace comparison.
-	addSource := func(src harness.Source) {
-		die(h.Register(src))
-		for _, name := range list {
-			if name == src.Name() {
-				fmt.Fprintf(stderr, "note: %q rows replay the registered source (it shadows the catalog generator)\n", src.Name())
-				return
-			}
+	if figs, ok := figureExps[o.exp]; ok {
+		return experiment.Request{Type: "experiments", Figures: figs}, nil
+	}
+	switch o.exp {
+	case "sweep":
+		csv := o.sweepVals
+		if axis, err := harness.ParseAxis(o.sweepAxis); err == nil && axis == harness.AxisNodes && csv == "" {
+			// The original node-count sweep keeps its -sweep-nodes spelling.
+			csv = o.sweepNodes
 		}
-		list = append(list, src.Name())
-	}
-	for _, path := range splitList(*specs) {
-		src, err := harness.SpecFileSource(path)
-		die(err)
-		addSource(src)
-	}
-	for _, path := range splitList(*traces) {
-		src, err := harness.TraceFileSource(path)
-		die(err)
-		addSource(src)
-	}
-	sep := func() { fmt.Fprintln(stdout, "\n"+strings.Repeat("=", 80)+"\n") }
-
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-
-	// Warm the memo cache for the whole evaluation in one deduplicated
-	// concurrent fan-out; the per-figure assembly below then reads pure
-	// cache hits. Single-figure invocations skip this: each figure's own
-	// assembly prefetches exactly its grid.
-	if *exp == "all" {
-		h.Prefetch(h.PlanAll(list))
-	}
-
-	if want("model") {
-		costs := config.BaseCosts()
-		p := model.FromCosts(float64(costs.RemoteFetch),
-			float64(costs.PageOpBase()+costs.PageOpPerBlock*32),
-			float64(costs.PageOpBase()+costs.PageOpPerBlock*16), 64)
-		report.Model(stdout, p)
-		sep()
-	}
-	if want("fig5") {
-		curves, err := h.Figure5(list)
-		die(err)
-		report.Figure5(stdout, curves)
-		sep()
-	}
-	if want("table4") {
-		rows, err := h.Table4(list)
-		die(err)
-		report.Table4(stdout, rows)
-		sep()
-	}
-	if want("fig6") {
-		rows, err := h.Figure6(list)
-		die(err)
-		report.Figure6(stdout, rows)
-		sep()
-	}
-	if want("fig7") {
-		rows, err := h.Figure7(list)
-		die(err)
-		report.Figure7(stdout, rows)
-		sep()
-	}
-	if want("fig8") {
-		rows, err := h.Figure8(list)
-		die(err)
-		report.Figure8(stdout, rows)
-		sep()
-	}
-	if want("fig9") {
-		rows, err := h.Figure9(list)
-		die(err)
-		report.Figure9(stdout, rows)
-		sep()
-	}
-	if want("lu") {
-		share, err := h.LuImbalance()
-		die(err)
-		fmt.Fprintf(stdout, "LU LOAD IMBALANCE (Section 5.5) — top-2 nodes' share of S-COMA page replacements: %.0f%%\n", share*100)
-		fmt.Fprintln(stdout, "(the paper attributes lu's relocation-overhead sensitivity to two overloaded nodes)")
-	}
-
-	// The sensitivity experiments replay one capture transformed along a
-	// parameter axis via the trace transform layer. They need a trace
-	// (recorded here when none is given), so they run only when asked
-	// for by name, not under "all".
-	record := func() []byte {
-		app, ok := workloads.ByName(*sweepApp)
-		if !ok {
-			dieUsage(fmt.Errorf("unknown -sweep-app %q", *sweepApp))
+		return o.sweepRequest(o.sweepAxis, csv)
+	case "dilate":
+		return o.sweepRequest("dilate", o.dilateVals)
+	case "geometry":
+		axis, err := harness.ParseAxis(o.geomAxis)
+		if err != nil {
+			return experiment.Request{}, usageError{err}
 		}
-		cfg := workloads.DefaultConfig()
-		cfg.Scale, cfg.Seed = *scale, *seed
-		var buf bytes.Buffer
-		if _, _, err := tracefile.WriteWorkload(&buf, app.Build(cfg), cfg); err != nil {
-			die(err)
-		}
-		return buf.Bytes()
-	}
-	defaultValues := map[harness.Axis]string{
-		harness.AxisNodes:     "4,8,16",
-		harness.AxisDilate:    "1/2,1,2,4",
-		harness.AxisBlockSize: "16,32,64,128",
-		harness.AxisPageSize:  "2048,4096,8192",
-		harness.AxisThreshold: "16,64,256,1024",
-	}
-	// parseValues resolves one axis's value list (per-axis default when
-	// empty); unparseable entries are usage errors naming the token.
-	parseValues := func(axis harness.Axis, csv string) []harness.SweepValue {
-		if csv == "" {
-			csv = defaultValues[axis]
-		}
-		values, err := harness.ParseSweepValues(axis, csv)
-		dieUsage(err)
-		return values
-	}
-	sensitivity := func(axis harness.Axis, csv string) {
-		values := parseValues(axis, csv)
-		var (
-			points []harness.AxisPoint
-			name   string
-			err    error
-		)
-		if *sweepTrace != "" {
-			points, name, err = h.SweepFile(*sweepTrace, axis, values)
-		} else {
-			points, name, err = h.Sweep(record(), axis, values)
-		}
-		die(err)
-		report.Sensitivity(stdout, name, axis, points)
-	}
-
-	if *exp == "sweep" {
-		axis, err := harness.ParseAxis(*sweepAxis)
-		dieUsage(err)
-		csv := *sweepVals
-		if axis == harness.AxisNodes && csv == "" {
-			// The original node-count sweep keeps its -sweep-nodes
-			// spelling; it now rides the generalized axis engine like
-			// every other sweep.
-			csv = *sweepNodes
-		}
-		sensitivity(axis, csv)
-	}
-	if *exp == "dilate" {
-		sensitivity(harness.AxisDilate, *dilateVals)
-	}
-	if *exp == "geometry" {
-		axis, err := harness.ParseAxis(*geomAxis)
-		dieUsage(err)
 		if axis != harness.AxisBlockSize && axis != harness.AxisPageSize {
-			dieUsage(fmt.Errorf("-geometry-axis must be block or page, got %q", *geomAxis))
+			return experiment.Request{}, usage("-geometry-axis must be block or page, got %q", o.geomAxis)
 		}
-		sensitivity(axis, *geomVals)
-	}
-
-	// -exp grid sweeps two axes at once and renders the heat map, exact
-	// table, and knee conclusions; -grid-json additionally writes the
-	// machine-readable document for downstream gating.
-	if *exp == "grid" {
-		names := splitList(*gridAxes)
+		return o.sweepRequest(o.geomAxis, o.geomVals)
+	case "grid":
+		names := splitList(o.gridAxes)
 		if len(names) != 2 {
-			dieUsage(fmt.Errorf("-grid-axes wants exactly two axes \"x,y\", got %q", *gridAxes))
+			return experiment.Request{}, usage("-grid-axes wants exactly two axes \"x,y\", got %q", o.gridAxes)
 		}
-		axisX, err := harness.ParseAxis(names[0])
-		dieUsage(err)
-		axisY, err := harness.ParseAxis(names[1])
-		dieUsage(err)
-		if axisX == axisY {
-			dieUsage(fmt.Errorf("-grid-axes must name two different axes, got %q", *gridAxes))
+		xs, err := valuesFor(names[0], o.gridValsA)
+		if err != nil {
+			return experiment.Request{}, err
 		}
-		xs := parseValues(axisX, *gridValsA)
-		ys := parseValues(axisY, *gridValsB)
-		var g *harness.Grid
-		if *sweepTrace != "" {
-			g, err = h.SweepGridFile(*sweepTrace, axisX, xs, axisY, ys)
-		} else {
-			g, err = h.SweepGrid(record(), axisX, xs, axisY, ys)
+		ys, err := valuesFor(names[1], o.gridValsB)
+		if err != nil {
+			return experiment.Request{}, err
 		}
-		die(err)
-		report.Grid(stdout, g, *gridBound)
-		if *gridJSON != "" {
-			doc := report.NewGridDoc(g, *gridBound)
-			b, err := json.MarshalIndent(doc, "", "  ")
-			die(err)
-			die(os.WriteFile(*gridJSON, append(b, '\n'), 0o644))
-		}
-	}
-
-	// -exp traffic replays a compiled multi-tenant scenario under every
-	// protocol (plus the ideal baseline for normalization) and breaks each
-	// run out per tenant. The scenario bakes in the scale and seed at
-	// compile time, exactly like a recorded trace.
-	if *exp == "traffic" {
-		if *trafficSpec == "" {
-			dieUsage(fmt.Errorf("-exp traffic needs -traffic <scenario.json>"))
-		}
-		data, err := os.ReadFile(*trafficSpec)
-		die(err)
-		cfg := workloads.DefaultConfig()
-		cfg.Scale, cfg.Seed = *scale, *seed
-		src, err := harness.TrafficSource(data, filepath.Dir(*trafficSpec), cfg)
-		die(err)
-		die(h.Register(src))
-		sc := src.Scenario()
-		systems := []config.System{
-			config.Base(config.CCNUMA), config.Base(config.SCOMA), config.Base(config.RNUMA),
-		}
-		h.Prefetch(harness.NewPlan().AddRuns([]string{src.Name()},
-			append(append([]config.System{}, systems...), config.Ideal())...))
-		ideal, err := h.Ideal(src.Name())
-		die(err)
-		fmt.Fprintf(stdout, "TRAFFIC — scenario %s: %d tenants (%s), %d refs, %d pages\n\n",
-			sc.Name, len(sc.Clients), strings.Join(sc.Clients, ", "), sc.Records(), sc.SharedPages)
-		fmt.Fprintf(stdout, "%-28s %10s %10s %10s %10s\n", "system", "norm-exec", "remote", "refetch", "reloc")
-		fmt.Fprintln(stdout, strings.Repeat("-", 72))
-		runs := make([]*stats.Run, len(systems))
-		for i, sys := range systems {
-			run, err := h.Run(src.Name(), sys)
-			die(err)
-			runs[i] = run
-			norm := 0.0
-			if ideal.ExecCycles > 0 {
-				norm = run.Normalized(ideal)
-			}
-			fmt.Fprintf(stdout, "%-28s %10.3f %10d %10d %10d\n", sys.Name, norm, run.RemoteFetches, run.Refetches, run.Relocations)
-		}
-		for i, sys := range systems {
-			fmt.Fprintf(stdout, "\n%s:\n", sys.Name)
-			report.ClientTable(stdout, runs[i])
-		}
-		sep()
-	}
-
-	// -exp timeline renders the time-resolved telemetry story: one probed
-	// fork sweep over the requested R-NUMA thresholds (-sweep-values,
-	// default "16,64"), then each point's interval series, relocation
-	// bursts, and traffic matrix — how the same trace's reactive behavior
-	// shifts when the threshold moves. Needs a trace, so like the other
-	// sensitivity experiments it never runs under -exp all.
-	if *exp == "timeline" {
-		csv := *sweepVals
+		return experiment.Request{Type: "grid", Artifact: o.sweepTrace, Axis: names[0], Values: xs, AxisB: names[1], ValuesB: ys, KneeBound: o.gridBound}, nil
+	case "timeline":
+		csv := o.sweepVals
 		if csv == "" {
 			csv = "16,64"
 		}
-		var thresholds []int
-		for _, s := range splitList(csv) {
-			T, err := strconv.Atoi(s)
-			if err != nil || T < 1 {
-				dieUsage(fmt.Errorf("bad -sweep-values threshold %q for -exp timeline", s))
-			}
-			thresholds = append(thresholds, T)
+		return experiment.Request{Type: "timeline", Artifact: o.sweepTrace, Values: csv}, nil
+	case "traffic":
+		if o.trafficSpec == "" {
+			return experiment.Request{}, usage("-exp traffic needs -traffic <scenario.json>")
 		}
-		sort.Ints(thresholds)
-		tcfg := h.Telemetry
-		if !tcfg.Enabled() {
-			tcfg = telemetry.Config{Window: telemetry.DefaultWindow}
+		return experiment.Request{Type: "traffic", Artifact: o.trafficSpec}, nil
+	}
+	return experiment.Request{}, usage("unknown -exp %q", o.exp)
+}
+
+func (o *options) sweepRequest(axis, csv string) (experiment.Request, error) {
+	csv, err := valuesFor(axis, csv)
+	return experiment.Request{Type: "sweep", Artifact: o.sweepTrace, Axis: axis, Values: csv}, err
+}
+
+// valuesFor resolves one axis's value list, defaulting per axis when
+// empty; an unknown axis is a usage error naming it.
+func valuesFor(axisName, csv string) (string, error) {
+	axis, err := harness.ParseAxis(axisName)
+	if err != nil {
+		return "", usageError{err}
+	}
+	if csv == "" {
+		csv = defaultValues[axis]
+	}
+	return csv, nil
+}
+
+// register adds the -specs and -traces files to the harness and returns
+// the application list their rows join. A registered source shadows a
+// same-named catalog generator, so a name already in the list (via
+// -apps) is not appended again — the row would be the source replay
+// twice, never the generator-vs-trace comparison.
+func (o *options) register(h *harness.Harness, stderr io.Writer) ([]string, error) {
+	list := harness.AllApps()
+	if o.apps != "" {
+		list = strings.Split(o.apps, ",")
+	}
+	add := func(src harness.Source, err error) error {
+		if err == nil {
+			err = h.Register(src)
 		}
-		var (
-			data []byte
-			name string
-		)
-		if *sweepTrace != "" {
-			b, err := os.ReadFile(*sweepTrace)
-			die(err)
-			data, name = b, *sweepTrace
+		if err != nil {
+			return err
+		}
+		if slices.Contains(list, src.Name()) {
+			fmt.Fprintf(stderr, "note: %q rows replay the registered source (it shadows the catalog generator)\n", src.Name())
 		} else {
-			data, name = record(), *sweepApp
+			list = append(list, src.Name())
 		}
-		res, err := harness.Replay(bytes.NewReader(data), config.Base(config.RNUMA),
-			harness.WithThresholds(thresholds...), harness.WithTelemetry(tcfg))
-		die(err)
-		for i, T := range thresholds {
-			if i > 0 && T == thresholds[i-1] {
-				continue
-			}
-			report.Timeline(stdout, fmt.Sprintf("%s, R-NUMA T=%d", name, T), res.ByThreshold[T].Timeline)
-			sep()
+		return nil
+	}
+	for _, path := range splitList(o.specs) {
+		if err := add(harness.SpecFileSource(path)); err != nil {
+			return nil, err
 		}
 	}
-	return 0
+	for _, path := range splitList(o.traces) {
+		if err := add(harness.TraceFileSource(path)); err != nil {
+			return nil, err
+		}
+	}
+	return list, nil
+}
+
+// inputs reads the files a request references: the -diff pair, the
+// -traffic scenario, or the sensitivity experiments' capture — from
+// -sweep-trace, or recorded from -sweep-app at the base shape.
+func (o *options) inputs(req experiment.Request) ([]experiment.Input, error) {
+	read := func(kind, path string) (experiment.Input, error) {
+		data, err := os.ReadFile(path)
+		return experiment.Input{Kind: kind, Name: path, Dir: filepath.Dir(path), Data: data}, err
+	}
+	switch {
+	case req.Type == "experiments":
+		return nil, nil
+	case req.Type == "diffstats":
+		a, err := read(experiment.KindTrace, req.Artifact)
+		if err != nil {
+			return nil, err
+		}
+		b, err := read(experiment.KindTrace, req.ArtifactB)
+		return []experiment.Input{a, b}, err
+	case req.Type == "traffic":
+		in, err := read(experiment.KindTraffic, req.Artifact)
+		return []experiment.Input{in}, err
+	case req.Artifact != "":
+		in, err := read(experiment.KindTrace, req.Artifact)
+		return []experiment.Input{in}, err
+	}
+	app, ok := workloads.ByName(o.sweepApp)
+	if !ok {
+		return nil, usage("unknown -sweep-app %q", o.sweepApp)
+	}
+	cfg := workloads.DefaultConfig()
+	cfg.Scale, cfg.Seed = o.scale, o.seed
+	var buf bytes.Buffer
+	if _, _, err := tracefile.WriteWorkload(&buf, app.Build(cfg), cfg); err != nil {
+		return nil, err
+	}
+	return []experiment.Input{{Kind: experiment.KindTrace, Name: o.sweepApp, Data: buf.Bytes()}}, nil
 }
 
 // splitList splits a comma-separated flag, dropping empty entries.

@@ -44,6 +44,12 @@ func TestUsageExitCodes(t *testing.T) {
 		{"one diff trace", []string{"-diff", "only.trace"}, "exactly two"},
 		{"unknown sweep app", []string{"-exp", "sweep", "-sweep-app", "nosuch", "-sweep-axis", "nodes"}, `"nosuch"`},
 		{"missing traffic scenario", []string{"-exp", "traffic"}, "-traffic"},
+		{"unknown experiment", []string{"-exp", "fig10"}, `"fig10"`},
+		{"empty sweep values", []string{"-exp", "sweep", "-sweep-values", ","}, `","`},
+		{"empty timeline thresholds", []string{"-exp", "timeline", "-sweep-values", ","}, `","`},
+		{"zero timeline threshold", []string{"-exp", "timeline", "-sweep-values", "16,0"}, `"0"`},
+		{"negative grid bound", []string{"-exp", "grid", "-grid-bound", "-1"}, "-1"},
+		{"unknown app", []string{"-exp", "fig6", "-apps", "fft,doom"}, `"doom"`},
 	}
 	for _, tc := range cases {
 		code, _, stderr := runCLI(t, tc.args...)

@@ -6,27 +6,24 @@
 //	rnuma-sim -app moldyn -protocol rnuma [-bc 128] [-pc 327680] [-T 64]
 //	          [-scale 1.0] [-seed 0] [-nodes 8] [-cpus 4] [-soft] [-ideal]
 //	          [-record out.rntr] [-parallel N] [-v] [-cpuprofile f] [-memprofile f]
-//	rnuma-sim -trace file.trace [...]   (replay a recorded trace; "-" = stdin)
 //	rnuma-sim -spec file.json   [...]   (build a declarative spec workload)
 //
 // Protocols: ccnuma, scoma, rnuma. -ideal runs the normalization baseline
-// (CC-NUMA with an infinite block cache) regardless of -protocol. With
-// -trace, the machine shape (nodes, CPUs, geometry) comes from the trace
-// header and -nodes/-cpus are ignored; -scale and -seed have no effect on
-// recorded references.
+// (CC-NUMA with an infinite block cache) regardless of -protocol.
+// Recorded traces replay through `rnuma-trace replay`, which takes the
+// machine shape from the trace header.
 //
 // -record captures the simulated run's reference streams to a trace file
 // while it executes (tracefile.Tee, one extra function call per
 // reference); the normalization baseline then replays the recorded file,
 // so the two runs are guaranteed to see identical references. Recording
-// applies to -app and -spec workloads; replaying an existing trace with
-// -trace is better served by rnuma-trace cut/cat.
+// applies to -app and -spec workloads; existing traces are sliced with
+// rnuma-trace cut/cat.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -41,24 +38,23 @@ import (
 
 func main() {
 	var (
-		appName   = flag.String("app", "moldyn", "application: "+strings.Join(workloads.Names(), ", "))
-		tracePath = flag.String("trace", "", `replay a recorded trace file instead of -app ("-" = stdin)`)
-		specPath  = flag.String("spec", "", "build a declarative workload spec file instead of -app")
-		protocol  = flag.String("protocol", "rnuma", "protocol: ccnuma, scoma, rnuma")
-		bc        = flag.Int("bc", -2, "block cache bytes (-1 = infinite, default per protocol)")
-		pc        = flag.Int("pc", -2, "page cache bytes (default per protocol)")
-		thr       = flag.Int("T", 64, "R-NUMA relocation threshold")
-		scale     = flag.Float64("scale", 1.0, "workload scale (iteration multiplier)")
-		seed      = flag.Int64("seed", 0, "workload RNG seed (0 = built-in fixed seeds)")
-		nodes     = flag.Int("nodes", 8, "SMP nodes")
-		cpus      = flag.Int("cpus", 4, "CPUs per node")
-		soft      = flag.Bool("soft", false, "use SOFT costs (10-µs traps, 5-µs software shootdowns)")
-		ideal     = flag.Bool("ideal", false, "run the infinite-block-cache baseline")
-		record    = flag.String("record", "", "record the live run's references to this trace file (tee)")
-		parallel  = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-		verbose   = flag.Bool("v", false, "log progress")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		appName  = flag.String("app", "moldyn", "application: "+strings.Join(workloads.Names(), ", "))
+		specPath = flag.String("spec", "", "build a declarative workload spec file instead of -app")
+		protocol = flag.String("protocol", "rnuma", "protocol: ccnuma, scoma, rnuma")
+		bc       = flag.Int("bc", -2, "block cache bytes (-1 = infinite, default per protocol)")
+		pc       = flag.Int("pc", -2, "page cache bytes (default per protocol)")
+		thr      = flag.Int("T", 64, "R-NUMA relocation threshold")
+		scale    = flag.Float64("scale", 1.0, "workload scale (iteration multiplier)")
+		seed     = flag.Int64("seed", 0, "workload RNG seed (0 = built-in fixed seeds)")
+		nodes    = flag.Int("nodes", 8, "SMP nodes")
+		cpus     = flag.Int("cpus", 4, "CPUs per node")
+		soft     = flag.Bool("soft", false, "use SOFT costs (10-µs traps, 5-µs software shootdowns)")
+		ideal    = flag.Bool("ideal", false, "run the infinite-block-cache baseline")
+		record   = flag.String("record", "", "record the live run's references to this trace file (tee)")
+		parallel = flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
+		verbose  = flag.Bool("v", false, "log progress")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
 
@@ -96,9 +92,9 @@ func main() {
 		os.Exit(1)
 	}
 	if *record != "" {
-		err = recordRun(sys, *appName, *specPath, *tracePath, *record, *scale, *seed)
+		err = recordRun(sys, *appName, *specPath, *record, *scale, *seed)
 	} else {
-		err = run(h, sys, *appName, *tracePath, *specPath)
+		err = run(h, sys, *appName, *specPath)
 	}
 	if perr := stop(); err == nil {
 		err = perr
@@ -109,42 +105,13 @@ func main() {
 	}
 }
 
-func run(h *harness.Harness, sys config.System, appName, tracePath, specPath string) error {
-	// Resolve the workload: a registered trace/spec source or a catalog
+func run(h *harness.Harness, sys config.System, appName, specPath string) error {
+	// Resolve the workload: a registered spec source or a catalog
 	// application. Sources join the harness's app namespace, so the rest
 	// of the pipeline (memoized runs, normalization) is identical.
 	name := appName
 	var descr string
-	switch {
-	case tracePath != "" && specPath != "":
-		return fmt.Errorf("-trace and -spec are mutually exclusive")
-	case tracePath != "":
-		path, cleanup, err := materialize(tracePath)
-		if err != nil {
-			return err
-		}
-		defer cleanup()
-		src, err := harness.TraceFileSource(path)
-		if err != nil {
-			return err
-		}
-		// The source already decoded the file once for its content key;
-		// its header carries the recorded machine shape.
-		hdr := src.(interface{ Header() tracefile.Header }).Header()
-		if hdr.CPUs%hdr.Nodes != 0 {
-			return fmt.Errorf("trace has %d CPUs on %d nodes (not evenly divided)", hdr.CPUs, hdr.Nodes)
-		}
-		if err := h.Register(src); err != nil {
-			return err
-		}
-		name = src.Name()
-		// The machine must match the recorded shape; the system flags
-		// still pick the protocol and cache sizes.
-		sys.Geometry = hdr.Geometry
-		sys.Nodes = hdr.Nodes
-		sys.CPUsPerNode = hdr.CPUs / hdr.Nodes
-		descr = fmt.Sprintf("recorded trace %s", tracePath)
-	case specPath != "":
+	if specPath != "" {
 		src, err := harness.SpecFileSource(specPath)
 		if err != nil {
 			return err
@@ -154,7 +121,7 @@ func run(h *harness.Harness, sys config.System, appName, tracePath, specPath str
 		}
 		name = src.Name()
 		descr = fmt.Sprintf("spec %s", specPath)
-	default:
+	} else {
 		app, ok := workloads.ByName(name)
 		if !ok {
 			return fmt.Errorf("unknown application %q", name)
@@ -194,10 +161,7 @@ func run(h *harness.Harness, sys config.System, appName, tracePath, specPath str
 // cache (a recording must correspond to exactly one simulation), and the
 // ideal-machine normalization replays the recorded file — the baseline
 // is therefore guaranteed to see the references the recorded run saw.
-func recordRun(sys config.System, appName, specPath, tracePath, out string, scale float64, seed int64) error {
-	if tracePath != "" {
-		return fmt.Errorf("-record re-encodes a replay; slice existing traces with rnuma-trace cut/cat instead")
-	}
+func recordRun(sys config.System, appName, specPath, out string, scale float64, seed int64) error {
 	// Validate before building: workload construction panics on malformed
 	// shapes (it treats them as programmer error), the CLI must not.
 	if err := sys.Validate(); err != nil {
@@ -291,27 +255,4 @@ func recordRun(sys config.System, appName, specPath, tracePath, out string, scal
 		fmt.Printf("  normalized exec time:  %.3f (vs infinite block cache, replayed from the recording)\n", run.Normalized(base))
 	}
 	return nil
-}
-
-// materialize resolves a trace argument to a real file path: "-" spools
-// stdin to a temp file (the harness source re-opens its file once per
-// simulated system, and stdin cannot rewind).
-func materialize(path string) (string, func(), error) {
-	if path != "-" {
-		return path, func() {}, nil
-	}
-	tmp, err := os.CreateTemp("", "rnuma-trace-*.trace")
-	if err != nil {
-		return "", nil, err
-	}
-	if _, err := io.Copy(tmp, os.Stdin); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", nil, err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", nil, err
-	}
-	return tmp.Name(), func() { os.Remove(tmp.Name()) }, nil
 }

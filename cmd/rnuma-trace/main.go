@@ -51,7 +51,7 @@
 // trace cannot carry: the report gains a per-client counter table and
 // per-client timeline sparklines. Both
 // write to stdout with -o - (the default is <name>.trace), so traces pipe
-// straight into `rnuma-sim -trace -`. cut slices a trace by per-CPU
+// straight into `rnuma-trace replay -`. cut slices a trace by per-CPU
 // record range and/or CPU subset, preserving the recorded machine shape
 // (dropped CPUs become empty streams, so cuts replay on the recorded
 // machine); cat concatenates traces of identical machine shape — cutting
@@ -79,6 +79,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -836,7 +837,7 @@ func (c cli) parseWithTarget(fs *flag.FlagSet, args []string) (string, error) {
 
 // openTrace resolves a trace argument: a path or "-" for stdin. The
 // positional form (info/replay) also accepts -trace for symmetry with
-// rnuma-sim.
+// the subcommands that take only the flag.
 func (c cli) openTrace(positional, tracePath string) (io.ReadCloser, string, error) {
 	path := tracePath
 	if path == "" {
@@ -1085,6 +1086,16 @@ func (c cli) cmdReplay(args []string) error {
 		return err
 	}
 	defer r.Close()
+	// Stdin cannot rewind: spool it so the trace can replay a second
+	// time for the ideal-machine normalization every figure uses.
+	var spooled []byte
+	var in io.Reader = r
+	if name == "stdin" {
+		if spooled, err = io.ReadAll(r); err != nil {
+			return err
+		}
+		in = bytes.NewReader(spooled)
+	}
 	sys, err := system()
 	if err != nil {
 		return err
@@ -1093,7 +1104,7 @@ func (c cli) cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := harness.Replay(r, sys, harness.WithTelemetry(tcfg()))
+	res, err := harness.Replay(in, sys, harness.WithTelemetry(tcfg()))
 	if perr := stop(); err == nil {
 		err = perr
 	}
@@ -1111,10 +1122,13 @@ func (c cli) cmdReplay(args []string) error {
 		return err
 	}
 
-	// A file (unlike stdin) can be replayed a second time for the
-	// ideal-machine normalization every figure uses.
-	if name != "stdin" && sys.BlockCacheBytes != config.InfiniteBlockCache {
-		base, err := harness.ReplayFile(name, config.Ideal())
+	if sys.BlockCacheBytes != config.InfiniteBlockCache {
+		var base *harness.Result
+		if spooled != nil {
+			base, err = harness.Replay(bytes.NewReader(spooled), config.Ideal())
+		} else {
+			base, err = harness.ReplayFile(name, config.Ideal())
+		}
 		if err != nil {
 			return err
 		}

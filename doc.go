@@ -56,7 +56,7 @@
 //     snapshot-resumed replays produce bit-identical timelines because
 //     checkpoints carry the probe cursor
 //   - internal/profiling — shared -cpuprofile/-memprofile plumbing for
-//     rnuma-sim and rnuma-trace replay
+//     rnuma-sim and rnuma-trace replay (the one trace-replay front end)
 //   - internal/harness — the experiment-plan layer and concurrent
 //     scheduler that regenerate every table and figure; spec files and
 //     recorded traces register as workload sources whose memo keys hash
@@ -72,12 +72,20 @@
 //     rows and columns are bit-identical to the one-axis sweeps, and
 //     FindKnee locates where on a grid line the R-NUMA-over-best ratio
 //     first exceeds a bound
+//   - internal/experiment — the one experiment path: a Request (replay,
+//     sweep, grid, diffstats, paper figures, timeline, traffic) plus its
+//     resolved input bytes goes through one validator and one executor
+//     that drives the harness and renders the text report and JSON
+//     document from the same result; rnuma-experiments and rnuma-serve
+//     are front ends that only build requests, so the same request
+//     renders the same bytes through either
 //   - internal/serve — the long-running experiment service behind
 //     cmd/rnuma-serve: content-addressed artifact uploads (traces,
 //     specs, traffic scenarios), replay/sweep/grid/diffstats/
-//     experiments jobs with streamed progress, and text or JSON
-//     reports; malformed axis/value requests answer 422 naming the
-//     offending token; every job
+//     experiments jobs executed by internal/experiment with streamed
+//     progress, and text or JSON reports; requests the executor's
+//     validator rejects (bad axis/value lists, unknown figures or
+//     applications) answer 422 naming the offending token; every job
 //     runs on its own harness over the server's one shared result
 //     store, so repeated and concurrent submissions re-simulate
 //     nothing

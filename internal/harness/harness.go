@@ -244,6 +244,33 @@ func (h *Harness) Normalized(appName string, sys config.System) (float64, error)
 	return run.Normalized(base), nil
 }
 
+// runsOf runs app under each system in order (memoized).
+func (h *Harness) runsOf(app string, systems []config.System) ([]*stats.Run, error) {
+	out := make([]*stats.Run, len(systems))
+	for i, sys := range systems {
+		run, err := h.Run(app, sys)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = run
+	}
+	return out, nil
+}
+
+// normalizedOf is each system's execution time for app relative to the
+// app's ideal machine, in order.
+func (h *Harness) normalizedOf(app string, systems []config.System) ([]float64, error) {
+	out := make([]float64, len(systems))
+	for i, sys := range systems {
+		v, err := h.Normalized(app, sys)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
 // ---------------------------------------------------------------------
 // Figure 5: cumulative distribution of refetches over remote pages under
 // CC-NUMA with a 32-KB block cache.
@@ -260,14 +287,15 @@ type Fig5Curve struct {
 // Figure5 computes the refetch CDFs. Applications with no refetches (fft)
 // return an empty curve, matching the paper's omission of fft.
 func (h *Harness) Figure5(apps []string) ([]Fig5Curve, error) {
-	h.Prefetch(h.Figure5Plan(apps))
+	h.Prefetch(figurePlan(gridFig5, apps))
+	systems := figureSystems(gridFig5)
 	out := make([]Fig5Curve, 0, len(apps))
 	for _, a := range apps {
-		run, err := h.Run(a, config.Base(config.CCNUMA))
+		runs, err := h.runsOf(a, systems)
 		if err != nil {
 			return nil, err
 		}
-		pts := run.RefetchCDF(int(run.RemotePages))
+		pts := runs[0].RefetchCDF(int(runs[0].RemotePages))
 		out = append(out, Fig5Curve{
 			App:    a,
 			Points: pts,
@@ -297,21 +325,15 @@ type Table4Row struct {
 
 // Table4 computes the characterization table.
 func (h *Harness) Table4(apps []string) ([]Table4Row, error) {
-	h.Prefetch(h.Table4Plan(apps))
+	h.Prefetch(figurePlan(gridTable4, apps))
+	systems := figureSystems(gridTable4)
 	out := make([]Table4Row, 0, len(apps))
 	for _, a := range apps {
-		cc, err := h.Run(a, config.Base(config.CCNUMA))
+		runs, err := h.runsOf(a, systems)
 		if err != nil {
 			return nil, err
 		}
-		sc, err := h.Run(a, config.Base(config.SCOMA))
-		if err != nil {
-			return nil, err
-		}
-		rn, err := h.Run(a, config.Base(config.RNUMA))
-		if err != nil {
-			return nil, err
-		}
+		cc, sc, rn := runs[0], runs[1], runs[2]
 		out = append(out, Table4Row{
 			App:            a,
 			RWPagePct:      100 * stats.Ratio(cc.RWRefetches, cc.Refetches),
@@ -334,29 +356,22 @@ type Fig6Row struct {
 
 // Figure6 computes the base-system comparison.
 func (h *Harness) Figure6(apps []string) ([]Fig6Row, error) {
-	h.Prefetch(h.Figure6Plan(apps))
+	h.Prefetch(figurePlan(gridFig6, apps))
+	systems := figureSystems(gridFig6)[1:] // after the ideal baseline
 	out := make([]Fig6Row, 0, len(apps))
 	for _, a := range apps {
-		cc, err := h.Normalized(a, config.Base(config.CCNUMA))
+		v, err := h.normalizedOf(a, systems)
 		if err != nil {
 			return nil, err
 		}
-		sc, err := h.Normalized(a, config.Base(config.SCOMA))
-		if err != nil {
-			return nil, err
-		}
-		rn, err := h.Normalized(a, config.Base(config.RNUMA))
-		if err != nil {
-			return nil, err
-		}
-		best := cc
-		if sc < best {
-			best = sc
+		best := v[0]
+		if v[1] < best {
+			best = v[1]
 		}
 		out = append(out, Fig6Row{
-			App: a, CCNUMA: cc, SCOMA: sc, RNUMA: rn,
+			App: a, CCNUMA: v[0], SCOMA: v[1], RNUMA: v[2],
 			BestOfBase:    best,
-			RNUMAOverBest: rn / best,
+			RNUMAOverBest: v[2] / best,
 		})
 	}
 	return out, nil
@@ -375,51 +390,17 @@ type Fig7Row struct {
 	R128p40M  float64 // R-NUMA, 128-B block cache, 40-MB page cache
 }
 
-// fig7Systems are Figure 7's non-base configurations, shared between the
-// plan declaration and the assembly so both name identical systems.
-type fig7Sys struct {
-	cc1k, r32k, r40m config.System
-}
-
-func fig7Systems() fig7Sys {
-	cc1k := config.Base(config.CCNUMA)
-	cc1k.Name = "CC-NUMA b=1K"
-	cc1k.BlockCacheBytes = 1 << 10
-
-	r32k := config.Base(config.RNUMA)
-	r32k.Name = "R-NUMA b=32K p=320K"
-	r32k.BlockCacheBytes = 32 << 10
-
-	r40m := config.Base(config.RNUMA)
-	r40m.Name = "R-NUMA b=128 p=40M"
-	r40m.PageCacheBytes = 40 << 20
-	return fig7Sys{cc1k: cc1k, r32k: r32k, r40m: r40m}
-}
-
 // Figure7 computes the cache-size sensitivity study.
 func (h *Harness) Figure7(apps []string) ([]Fig7Row, error) {
-	h.Prefetch(h.Figure7Plan(apps))
-	s := fig7Systems()
+	h.Prefetch(figurePlan(gridFig7, apps))
+	systems := figureSystems(gridFig7)[1:] // after the ideal baseline
 	out := make([]Fig7Row, 0, len(apps))
 	for _, a := range apps {
-		row := Fig7Row{App: a}
-		var err error
-		if row.CC1K, err = h.Normalized(a, s.cc1k); err != nil {
+		v, err := h.normalizedOf(a, systems)
+		if err != nil {
 			return nil, err
 		}
-		if row.CC32K, err = h.Normalized(a, config.Base(config.CCNUMA)); err != nil {
-			return nil, err
-		}
-		if row.R128p320K, err = h.Normalized(a, config.Base(config.RNUMA)); err != nil {
-			return nil, err
-		}
-		if row.R32Kp320K, err = h.Normalized(a, s.r32k); err != nil {
-			return nil, err
-		}
-		if row.R128p40M, err = h.Normalized(a, s.r40m); err != nil {
-			return nil, err
-		}
-		out = append(out, row)
+		out = append(out, Fig7Row{App: a, CC1K: v[0], CC32K: v[1], R128p320K: v[2], R32Kp320K: v[3], R128p40M: v[4]})
 	}
 	return out, nil
 }
@@ -436,31 +417,19 @@ type Fig8Row struct {
 	ByT map[int]float64
 }
 
-// fig8System is R-NUMA at threshold T, as both the plan and the assembly
-// name it.
-func fig8System(T int) config.System {
-	sys := config.Base(config.RNUMA)
-	sys.Threshold = T
-	sys.Name = fmt.Sprintf("R-NUMA T=%d", T)
-	return sys
-}
-
 // Figure8 computes the threshold sensitivity study.
 func (h *Harness) Figure8(apps []string) ([]Fig8Row, error) {
-	h.Prefetch(h.Figure8Plan(apps))
+	h.Prefetch(figurePlan(gridFig8, apps))
+	systems := figureSystems(gridFig8) // base R-NUMA (T=64), then each T
 	out := make([]Fig8Row, 0, len(apps))
 	for _, a := range apps {
-		base, err := h.Run(a, config.Base(config.RNUMA)) // T=64
+		runs, err := h.runsOf(a, systems)
 		if err != nil {
 			return nil, err
 		}
 		row := Fig8Row{App: a, ByT: make(map[int]float64, len(Fig8Thresholds))}
-		for _, T := range Fig8Thresholds {
-			run, err := h.Run(a, fig8System(T))
-			if err != nil {
-				return nil, err
-			}
-			row.ByT[T] = run.Normalized(base)
+		for i, T := range Fig8Thresholds {
+			row.ByT[T] = runs[i+1].Normalized(runs[0])
 		}
 		out = append(out, row)
 	}
@@ -477,44 +446,18 @@ type Fig9Row struct {
 	SCOMA, SCOMASoft, RNUMA, RNUMASoft float64
 }
 
-// fig9Systems are the SOFT-cost variants of Figure 9.
-type fig9Sys struct {
-	scSoft, rnSoft config.System
-}
-
-func fig9Systems() fig9Sys {
-	scSoft := config.Base(config.SCOMA)
-	scSoft.Name = "S-COMA-SOFT"
-	scSoft.Costs = config.SoftCosts()
-
-	rnSoft := config.Base(config.RNUMA)
-	rnSoft.Name = "R-NUMA-SOFT"
-	rnSoft.Costs = config.SoftCosts()
-	return fig9Sys{scSoft: scSoft, rnSoft: rnSoft}
-}
-
 // Figure9 computes the overhead sensitivity study (SOFT = 10-µs traps and
 // 5-µs software TLB shootdowns).
 func (h *Harness) Figure9(apps []string) ([]Fig9Row, error) {
-	h.Prefetch(h.Figure9Plan(apps))
-	s := fig9Systems()
+	h.Prefetch(figurePlan(gridFig9, apps))
+	systems := figureSystems(gridFig9)[1:] // after the ideal baseline
 	out := make([]Fig9Row, 0, len(apps))
 	for _, a := range apps {
-		row := Fig9Row{App: a}
-		var err error
-		if row.SCOMA, err = h.Normalized(a, config.Base(config.SCOMA)); err != nil {
+		v, err := h.normalizedOf(a, systems)
+		if err != nil {
 			return nil, err
 		}
-		if row.SCOMASoft, err = h.Normalized(a, s.scSoft); err != nil {
-			return nil, err
-		}
-		if row.RNUMA, err = h.Normalized(a, config.Base(config.RNUMA)); err != nil {
-			return nil, err
-		}
-		if row.RNUMASoft, err = h.Normalized(a, s.rnSoft); err != nil {
-			return nil, err
-		}
-		out = append(out, row)
+		out = append(out, Fig9Row{App: a, SCOMA: v[0], SCOMASoft: v[1], RNUMA: v[2], RNUMASoft: v[3]})
 	}
 	return out, nil
 }

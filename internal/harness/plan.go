@@ -86,67 +86,88 @@ func (p *Plan) Jobs() []Job { return p.jobs }
 func (p *Plan) Len() int { return len(p.jobs) }
 
 // ---------------------------------------------------------------------
-// Per-figure plans. Each declares exactly the (app, system) grid its
-// figure consumes, so callers can batch several figures into one plan and
-// execute the union concurrently before serial assembly.
+// Per-figure grids. One table declares exactly the (app, system) grid
+// each figure consumes: the FigureN assemblies prefetch their own entry,
+// and PlanAll unions every entry so callers can execute the whole
+// evaluation concurrently before serial assembly.
 
-// Figure5Plan declares Figure 5's grid: every app under base CC-NUMA.
-func (h *Harness) Figure5Plan(apps []string) *Plan {
-	return NewPlan().AddRuns(apps, config.Base(config.CCNUMA))
+// figureGrid is one figure's grid: each system group is declared across
+// every application before the next group.
+type figureGrid struct {
+	groups [][]config.System
+	app    string // fixed application (Section 5.5's lu); "" = the caller's list
 }
 
-// Table4Plan declares Table 4's grid: every app under all three base
-// protocols.
-func (h *Harness) Table4Plan(apps []string) *Plan {
-	return NewPlan().AddRuns(apps,
-		config.Base(config.CCNUMA), config.Base(config.SCOMA), config.Base(config.RNUMA))
-}
+// Figure indexes into figureGrids, in PlanAll order.
+const (
+	gridFig5 = iota
+	gridTable4
+	gridFig6
+	gridFig7
+	gridFig8
+	gridFig9
+	gridLu
+)
 
-// Figure6Plan declares Figure 6's grid: the three base protocols plus the
-// ideal normalization baseline.
-func (h *Harness) Figure6Plan(apps []string) *Plan {
-	return NewPlan().AddRuns(apps,
-		config.Ideal(), config.Base(config.CCNUMA), config.Base(config.SCOMA), config.Base(config.RNUMA))
-}
-
-// Figure7Plan declares Figure 7's grid: the five cache-size
-// configurations plus the ideal baseline.
-func (h *Harness) Figure7Plan(apps []string) *Plan {
-	s := fig7Systems()
-	return NewPlan().AddRuns(apps,
-		config.Ideal(), s.cc1k, config.Base(config.CCNUMA), config.Base(config.RNUMA), s.r32k, s.r40m)
-}
-
-// Figure8Plan declares Figure 8's grid: R-NUMA at every threshold.
-func (h *Harness) Figure8Plan(apps []string) *Plan {
-	p := NewPlan().AddRuns(apps, config.Base(config.RNUMA))
+// figureGrids is the evaluation's per-figure system table; the FigureN
+// assemblies read their systems from it in declaration order.
+func figureGrids() []figureGrid {
+	cc, sc, rn := config.Base(config.CCNUMA), config.Base(config.SCOMA), config.Base(config.RNUMA)
+	cc1k, r32k, r40m := cc, rn, rn
+	cc1k.Name, cc1k.BlockCacheBytes = "CC-NUMA b=1K", 1<<10
+	r32k.Name, r32k.BlockCacheBytes = "R-NUMA b=32K p=320K", 32<<10
+	r40m.Name, r40m.PageCacheBytes = "R-NUMA b=128 p=40M", 40<<20
+	// SOFT costs: 10-µs traps and 5-µs software TLB shootdowns.
+	scSoft, rnSoft := sc, rn
+	scSoft.Name, scSoft.Costs = "S-COMA-SOFT", config.SoftCosts()
+	rnSoft.Name, rnSoft.Costs = "R-NUMA-SOFT", config.SoftCosts()
+	fig8 := [][]config.System{{rn}}
 	for _, T := range Fig8Thresholds {
-		p.AddRuns(apps, fig8System(T))
+		rt := rn
+		rt.Name, rt.Threshold = fmt.Sprintf("R-NUMA T=%d", T), T
+		fig8 = append(fig8, []config.System{rt})
+	}
+	return []figureGrid{
+		gridFig5:   {groups: [][]config.System{{cc}}},
+		gridTable4: {groups: [][]config.System{{cc, sc, rn}}},
+		gridFig6:   {groups: [][]config.System{{config.Ideal(), cc, sc, rn}}},
+		gridFig7:   {groups: [][]config.System{{config.Ideal(), cc1k, cc, rn, r32k, r40m}}},
+		gridFig8:   {groups: fig8},
+		gridFig9:   {groups: [][]config.System{{config.Ideal(), sc, scSoft, rn, rnSoft}}},
+		gridLu:     {groups: [][]config.System{{sc}}, app: "lu"},
+	}
+}
+
+// figureSystems is figure fig's systems in declaration order.
+func figureSystems(fig int) []config.System {
+	var out []config.System
+	for _, g := range figureGrids()[fig].groups {
+		out = append(out, g...)
+	}
+	return out
+}
+
+// addFigure declares one figure's grid into p.
+func (p *Plan) addFigure(g figureGrid, apps []string) *Plan {
+	if g.app != "" {
+		apps = []string{g.app}
+	}
+	for _, systems := range g.groups {
+		p.AddRuns(apps, systems...)
 	}
 	return p
 }
 
-// Figure9Plan declares Figure 9's grid: S-COMA and R-NUMA under base and
-// SOFT costs, plus the ideal baseline.
-func (h *Harness) Figure9Plan(apps []string) *Plan {
-	s := fig9Systems()
-	return NewPlan().AddRuns(apps,
-		config.Ideal(), config.Base(config.SCOMA), s.scSoft, config.Base(config.RNUMA), s.rnSoft)
-}
-
-// LuPlan declares the Section 5.5 lu imbalance run.
-func (h *Harness) LuPlan() *Plan {
-	return NewPlan().Add(NewJob("lu", config.Base(config.SCOMA)))
+// figurePlan is figure fig's own grid over apps.
+func figurePlan(fig int, apps []string) *Plan {
+	return NewPlan().addFigure(figureGrids()[fig], apps)
 }
 
 // PlanAll declares every figure and table of the evaluation at once.
 func (h *Harness) PlanAll(apps []string) *Plan {
 	p := NewPlan()
-	for _, sub := range []*Plan{
-		h.Figure5Plan(apps), h.Table4Plan(apps), h.Figure6Plan(apps),
-		h.Figure7Plan(apps), h.Figure8Plan(apps), h.Figure9Plan(apps), h.LuPlan(),
-	} {
-		p.Add(sub.Jobs()...)
+	for _, g := range figureGrids() {
+		p.addFigure(g, apps)
 	}
 	return p
 }

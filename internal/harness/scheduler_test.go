@@ -14,10 +14,9 @@ import (
 // the base protocols) contribute each shared job exactly once to a
 // combined plan.
 func TestPlanDedup(t *testing.T) {
-	h := New(0.1)
 	p := NewPlan()
-	p.Add(h.Figure6Plan([]string{"fft", "lu"}).Jobs()...)
-	p.Add(h.Figure7Plan([]string{"fft", "lu"}).Jobs()...)
+	p.Add(figurePlan(gridFig6, []string{"fft", "lu"}).Jobs()...)
+	p.Add(figurePlan(gridFig7, []string{"fft", "lu"}).Jobs()...)
 	// Figure 6: ideal, cc, sc, rn (4 systems). Figure 7 adds cc1k, r32k,
 	// r40m and re-declares ideal, cc, rn. Union: 7 systems x 2 apps.
 	if got, want := p.Len(), 7*2; got != want {
@@ -41,11 +40,8 @@ func TestPlanAllCoversFigures(t *testing.T) {
 	for _, j := range h.PlanAll(apps).Jobs() {
 		all[j.Key()] = struct{}{}
 	}
-	for _, sub := range []*Plan{
-		h.Figure5Plan(apps), h.Table4Plan(apps), h.Figure6Plan(apps),
-		h.Figure7Plan(apps), h.Figure8Plan(apps), h.Figure9Plan(apps), h.LuPlan(),
-	} {
-		for _, j := range sub.Jobs() {
+	for fig := range figureGrids() {
+		for _, j := range figurePlan(fig, apps).Jobs() {
 			if _, ok := all[j.Key()]; !ok {
 				t.Errorf("PlanAll missing job %q", j.Key())
 			}

@@ -405,23 +405,6 @@ func TestReplayFileAndOptions(t *testing.T) {
 	if _, err := RunWorkload(app.Build(cfg), cfg, sys, WithThresholds(8)); err == nil {
 		t.Error("RunWorkload accepted WithThresholds")
 	}
-
-	// SweepFile mirrors Sweep over the on-disk encoding.
-	h := New(0.05)
-	vals, err := ParseSweepValues(AxisNodes, "4,8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, name, err := h.SweepFile(path, AxisNodes, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 || name != "fft" {
-		t.Errorf("SweepFile: %d points, name %q", len(pts), name)
-	}
-	if _, _, err := h.SweepFile(filepath.Join(t.TempDir(), "nope.trace"), AxisNodes, vals); err == nil {
-		t.Error("sweeping a missing file succeeded")
-	}
 }
 
 // TestRenamedSource: a rename changes the registration name but not the

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 
+	"rnuma/internal/experiment"
 	"rnuma/internal/spec"
 	"rnuma/internal/tracefile"
 	"rnuma/internal/traffic"
@@ -15,9 +16,9 @@ import (
 
 // Artifact kinds.
 const (
-	KindTrace   = "trace"   // a recorded tracefile encoding
-	KindSpec    = "spec"    // a declarative workload spec (JSON)
-	KindTraffic = "traffic" // a multi-tenant traffic scenario (JSON)
+	KindTrace   = experiment.KindTrace
+	KindSpec    = experiment.KindSpec
+	KindTraffic = experiment.KindTraffic
 )
 
 // maxUpload bounds one artifact upload (traces compress well; 256 MB is

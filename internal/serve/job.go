@@ -8,49 +8,14 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"rnuma/internal/experiment"
 )
 
-// JobRequest is one job submission. Type selects the experiment; the
-// remaining fields apply per type (see the field comments).
-type JobRequest struct {
-	// Type is "replay", "sweep", "grid", "diffstats", or "experiments".
-	Type string `json:"type"`
-
-	// Artifact references the input (ID, unique ID prefix, or unique
-	// name) for replay, sweep, and diffstats.
-	Artifact string `json:"artifact,omitempty"`
-	// System names the simulated design: ccnuma, scoma, rnuma, or ideal
-	// (default rnuma). Replay and diffstats.
-	System string `json:"system,omitempty"`
-	// Threshold overrides R-NUMA's relocation threshold when > 0.
-	Threshold int `json:"threshold,omitempty"`
-	// Normalize also runs the same-shape ideal machine and reports
-	// execution time relative to it (replay only).
-	Normalize bool `json:"normalize,omitempty"`
-
-	// Axis and Values define a sweep: axis nodes|dilate|block|page|threshold
-	// and a comma-separated value list ("4,8,16"; rationals on dilate).
-	// Grid jobs use them as the X axis (its transform applies first).
-	Axis   string `json:"axis,omitempty"`
-	Values string `json:"values,omitempty"`
-
-	// AxisB and ValuesB are a grid job's Y axis; KneeBound overrides the
-	// knee detector's R-NUMA/best bound when > 0 (default 1.10).
-	AxisB     string  `json:"axisB,omitempty"`
-	ValuesB   string  `json:"valuesB,omitempty"`
-	KneeBound float64 `json:"kneeBound,omitempty"`
-
-	// ArtifactB and SystemB are diffstats' second run (SystemB defaults
-	// to System).
-	ArtifactB string `json:"artifactB,omitempty"`
-	SystemB   string `json:"systemB,omitempty"`
-
-	// Figures selects paper figures for experiments jobs: "5", "6", "7",
-	// "8", "9", "table4" (default "6"). Apps restricts the application
-	// list (default: the full catalog).
-	Figures []string `json:"figures,omitempty"`
-	Apps    []string `json:"apps,omitempty"`
-}
+// JobRequest is one job submission: an experiment.Request whose Type
+// is one of the daemon's five job types (replay, sweep, grid, diffstats,
+// experiments) and whose artifact fields reference uploaded inputs.
+type JobRequest = experiment.Request
 
 // Job statuses.
 const (
@@ -79,6 +44,7 @@ type JobInfo struct {
 type jobState struct {
 	id       string
 	req      JobRequest
+	in       []experiment.Input // resolved artifacts
 	created  time.Time
 	progress *progressBuffer
 
@@ -158,10 +124,17 @@ func (b *progressBuffer) from(off int) ([]byte, int) {
 
 func (b *progressBuffer) finish() { close(b.done) }
 
-// Submit validates a request, assigns it an ID, and schedules it; the
-// job runs asynchronously (bounded by Options.MaxJobs).
+// Submit validates a request, resolves its artifacts, assigns it an ID,
+// and schedules it; the job runs asynchronously (bounded by
+// Options.MaxJobs). Artifact references must resolve and the request
+// must pass experiment.Validate at submission time, so a bad request
+// never occupies a job slot.
 func (s *Server) Submit(req JobRequest) (*jobState, error) {
-	if err := s.validate(req); err != nil {
+	in, err := s.inputs(req)
+	if err != nil {
+		return nil, err
+	}
+	if err := experiment.Validate(req); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -169,6 +142,7 @@ func (s *Server) Submit(req JobRequest) (*jobState, error) {
 	js := &jobState{
 		id:       fmt.Sprintf("j%d", s.jobSeq),
 		req:      req,
+		in:       in,
 		created:  time.Now(),
 		progress: newProgressBuffer(),
 		status:   StatusQueued,
@@ -178,67 +152,6 @@ func (s *Server) Submit(req JobRequest) (*jobState, error) {
 	s.logf("job %s: submitted %s", js.id, req.Type)
 	go s.run(js)
 	return js, nil
-}
-
-// valueError marks a request whose axis/values fields are present but
-// unparseable: the submission is well-formed JSON with the right fields,
-// just semantically invalid values, so the API answers 422 (naming the
-// offending token) rather than a generic 400.
-type valueError struct{ err error }
-
-func (e *valueError) Error() string { return e.err.Error() }
-func (e *valueError) Unwrap() error { return e.err }
-
-// validate rejects malformed requests before they occupy a job slot;
-// artifact references must already resolve at submission time, and
-// sweep/grid axis values must already parse (422 when they don't).
-func (s *Server) validate(req JobRequest) error {
-	switch req.Type {
-	case "replay":
-		_, err := s.artifact(req.Artifact)
-		return err
-	case "sweep":
-		if _, err := s.artifact(req.Artifact); err != nil {
-			return err
-		}
-		if req.Axis == "" || req.Values == "" {
-			return fmt.Errorf("serve: sweep needs axis and values")
-		}
-		_, _, err := parseAxisValues(req.Axis, req.Values)
-		return err
-	case "grid":
-		if _, err := s.artifact(req.Artifact); err != nil {
-			return err
-		}
-		if req.Axis == "" || req.Values == "" || req.AxisB == "" || req.ValuesB == "" {
-			return fmt.Errorf("serve: grid needs axis, values, axisB, and valuesB")
-		}
-		axisX, _, err := parseAxisValues(req.Axis, req.Values)
-		if err != nil {
-			return err
-		}
-		axisY, _, err := parseAxisValues(req.AxisB, req.ValuesB)
-		if err != nil {
-			return err
-		}
-		if axisX == axisY {
-			return &valueError{fmt.Errorf("serve: grid axes must differ (both %s)", axisX)}
-		}
-		if req.KneeBound < 0 {
-			return &valueError{fmt.Errorf("serve: bad kneeBound %v (must be >= 0)", req.KneeBound)}
-		}
-		return nil
-	case "diffstats":
-		if _, err := s.artifact(req.Artifact); err != nil {
-			return err
-		}
-		_, err := s.artifact(req.ArtifactB)
-		return err
-	case "experiments":
-		return nil
-	default:
-		return fmt.Errorf("serve: unknown job type %q (want replay, sweep, grid, diffstats, or experiments)", req.Type)
-	}
 }
 
 // run executes one job through a slot of the job semaphore.
@@ -308,7 +221,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	js, err := s.Submit(req)
 	if err != nil {
 		code := http.StatusBadRequest
-		var ve *valueError
+		var ve *experiment.ValueError
 		if errors.As(err, &ve) {
 			code = http.StatusUnprocessableEntity
 		}

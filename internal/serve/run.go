@@ -3,20 +3,17 @@ package serve
 import (
 	"bytes"
 	"fmt"
-	"io"
 
-	"rnuma/internal/config"
+	"rnuma/internal/experiment"
 	"rnuma/internal/harness"
-	"rnuma/internal/report"
-	"rnuma/internal/stats"
-	"rnuma/internal/tracefile"
-	"rnuma/internal/workloads"
 )
 
 // This file executes jobs. Every job gets a fresh Harness wired to the
 // server's shared store: the harness carries the job's own Progress/Log
 // writers and Simulations counter, while the store makes results — and
-// in-flight singleflight claims — common property of all jobs.
+// in-flight singleflight claims — common property of all jobs. The
+// experiment itself runs through experiment.Execute, the same path the
+// rnuma-experiments CLI takes.
 
 // execute runs one job to completion, returning the rendered text
 // report, the JSON document, and how many simulations the job executed
@@ -30,326 +27,38 @@ func (s *Server) execute(js *jobState) (text string, doc any, sims int64, err er
 	h.Log = js.progress
 
 	var buf bytes.Buffer
-	switch js.req.Type {
-	case "replay":
-		doc, err = s.runReplay(h, &buf, js.req)
-	case "sweep":
-		doc, err = s.runSweep(h, &buf, js.req)
-	case "grid":
-		doc, err = s.runGrid(h, &buf, js.req)
-	case "diffstats":
-		doc, err = s.runDiffstats(h, &buf, js.req)
-	case "experiments":
-		doc, err = s.runExperiments(h, &buf, js.req)
-	default:
-		err = fmt.Errorf("serve: unknown job type %q", js.req.Type)
-	}
+	doc, err = experiment.Execute(h, &buf, js.req, js.in...)
 	return buf.String(), doc, h.Simulations(), err
 }
 
-// systemFor resolves a request's system name (default rnuma) and
-// threshold override.
-func systemFor(name string, threshold int) (config.System, error) {
-	if name == "" {
-		name = "rnuma"
-	}
-	sys, err := config.SystemByName(name)
-	if err != nil {
-		return sys, err
-	}
-	if threshold > 0 {
-		sys.Threshold = threshold
-	}
-	return sys, nil
-}
-
-// shapeToTrace sizes a system to a recorded trace's machine shape, the
-// same merge Replay's NewTraceMachine performs.
-func shapeToTrace(sys config.System, hdr tracefile.Header) (config.System, error) {
-	if hdr.Nodes < 1 || hdr.CPUs%hdr.Nodes != 0 {
-		return sys, fmt.Errorf("serve: trace has %d CPUs on %d nodes (not evenly divided)", hdr.CPUs, hdr.Nodes)
-	}
-	sys.Nodes = hdr.Nodes
-	sys.CPUsPerNode = hdr.CPUs / hdr.Nodes
-	sys.Geometry = hdr.Geometry
-	return sys, nil
-}
-
-// registerTrace wraps a trace artifact as a harness source under a
-// content-qualified name (the embedded workload name alone could collide
-// with a differing second upload, e.g. in a diffstats job).
-func registerTrace(h *harness.Harness, a *Artifact) (app string, err error) {
-	src, err := harness.TraceSource(a.data)
-	if err != nil {
-		return "", err
-	}
-	named := harness.RenamedSource(src, fmt.Sprintf("%s@%s", a.Name, a.ID[:8]))
-	if err := h.Register(named); err != nil {
-		return "", err
-	}
-	return named.Name(), nil
-}
-
-// normalizedLine appends the ideal-baseline normalization (the exact
-// line the offline replay CLI prints, so reports gate against it).
-func normalizedLine(h *harness.Harness, w io.Writer, app string, sys config.System, run *stats.Run) (*stats.Run, error) {
-	if sys.BlockCacheBytes == config.InfiniteBlockCache {
-		return nil, nil
-	}
-	ideal := config.Ideal()
-	ideal.Nodes, ideal.CPUsPerNode, ideal.Geometry = sys.Nodes, sys.CPUsPerNode, sys.Geometry
-	base, err := h.Run(app, ideal)
-	if err != nil {
-		return nil, err
-	}
-	if base.ExecCycles > 0 {
-		fmt.Fprintf(w, "  normalized exec time:  %.3f (vs infinite block cache)\n", run.Normalized(base))
-	}
-	return base, nil
-}
-
-func (s *Server) runReplay(h *harness.Harness, w io.Writer, req JobRequest) (any, error) {
-	a, err := s.artifact(req.Artifact)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := systemFor(req.System, req.Threshold)
-	if err != nil {
-		return nil, err
-	}
-	var app string
-	switch a.Kind {
-	case KindTrace:
-		if sys, err = shapeToTrace(sys, a.hdr); err != nil {
-			return nil, err
-		}
-		if app, err = registerTrace(h, a); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "trace: %s (workload %s, %d nodes x %d CPUs)\n", a.ID[:12], a.hdr.Name, sys.Nodes, sys.CPUsPerNode)
-	case KindSpec:
-		src, err := harness.SpecSource(a.data)
-		if err != nil {
-			return nil, err
-		}
-		if err := h.Register(src); err != nil {
-			return nil, err
-		}
-		app = src.Name()
-		fmt.Fprintf(w, "spec: %s (%d nodes x %d CPUs)\n", app, sys.Nodes, sys.CPUsPerNode)
-	case KindTraffic:
-		cfg := workloads.Config{
-			Nodes:       sys.Nodes,
-			CPUsPerNode: sys.CPUsPerNode,
-			Geometry:    sys.Geometry,
-			Scale:       s.opts.Scale,
-			Seed:        s.opts.Seed,
-		}
-		src, err := harness.TrafficSource(a.data, "", cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := h.Register(src); err != nil {
-			return nil, err
-		}
-		app = src.Name()
-		fmt.Fprintf(w, "traffic: %s (%d clients, %d nodes x %d CPUs)\n",
-			app, len(src.Scenario().Clients), sys.Nodes, sys.CPUsPerNode)
+// inputs resolves a request's artifact references: one for replay,
+// sweep, and grid, two for diffstats, none for experiments. A trace
+// registers under a content-qualified name, because the embedded
+// workload name alone could collide with a differing second upload
+// (e.g. in a diffstats job).
+func (s *Server) inputs(req JobRequest) ([]experiment.Input, error) {
+	var refs []string
+	switch req.Type {
+	case "replay", "sweep", "grid":
+		refs = []string{req.Artifact}
+	case "diffstats":
+		refs = []string{req.Artifact, req.ArtifactB}
+	case "experiments":
 	default:
-		return nil, fmt.Errorf("serve: artifact %s has unknown kind %q", a.ID[:12], a.Kind)
+		return nil, fmt.Errorf("serve: unknown job type %q (want replay, sweep, grid, diffstats, or experiments)", req.Type)
 	}
-	run, err := h.Run(app, sys)
-	if err != nil {
-		return nil, err
-	}
-	report.RunSummary(w, sys.Name, run)
-	if len(run.Clients) > 0 {
-		fmt.Fprintln(w)
-		report.ClientTable(w, run)
-	}
-	var base *stats.Run
-	if req.Normalize {
-		if base, err = normalizedLine(h, w, app, sys, run); err != nil {
+	in := make([]experiment.Input, 0, len(refs))
+	for _, ref := range refs {
+		a, err := s.artifact(ref)
+		if err != nil {
 			return nil, err
 		}
+		in = append(in, experiment.Input{
+			Kind:  a.Kind,
+			Name:  fmt.Sprintf("%s@%s", a.Name, a.ID[:8]),
+			Label: a.ID[:12],
+			Data:  a.data,
+		})
 	}
-	doc := report.NewRunDoc(app, sys.Name, run, base)
-	return doc, nil
-}
-
-// parseAxisValues resolves an axis name and its comma-separated value
-// list, marking failures as value errors (HTTP 422 at submission) that
-// name the offending token.
-func parseAxisValues(axisName, values string) (harness.Axis, []harness.SweepValue, error) {
-	axis, err := harness.ParseAxis(axisName)
-	if err != nil {
-		return 0, nil, &valueError{err}
-	}
-	vals, err := harness.ParseSweepValues(axis, values)
-	if err != nil {
-		return 0, nil, &valueError{err}
-	}
-	if len(vals) == 0 {
-		return 0, nil, &valueError{fmt.Errorf("serve: %s values %q name no points", axis, values)}
-	}
-	return axis, vals, nil
-}
-
-func (s *Server) runSweep(h *harness.Harness, w io.Writer, req JobRequest) (any, error) {
-	a, err := s.artifact(req.Artifact)
-	if err != nil {
-		return nil, err
-	}
-	if a.Kind != KindTrace {
-		return nil, fmt.Errorf("serve: sweep needs a trace artifact, %s is a %s", a.ID[:12], a.Kind)
-	}
-	axis, vals, err := parseAxisValues(req.Axis, req.Values)
-	if err != nil {
-		return nil, err
-	}
-	pts, name, err := h.Sweep(a.data, axis, vals)
-	if err != nil {
-		return nil, err
-	}
-	report.Sensitivity(w, name, axis, pts)
-	return report.NewSensitivityDoc(name, axis, pts), nil
-}
-
-func (s *Server) runGrid(h *harness.Harness, w io.Writer, req JobRequest) (any, error) {
-	a, err := s.artifact(req.Artifact)
-	if err != nil {
-		return nil, err
-	}
-	if a.Kind != KindTrace {
-		return nil, fmt.Errorf("serve: grid needs a trace artifact, %s is a %s", a.ID[:12], a.Kind)
-	}
-	axisX, xs, err := parseAxisValues(req.Axis, req.Values)
-	if err != nil {
-		return nil, err
-	}
-	axisY, ys, err := parseAxisValues(req.AxisB, req.ValuesB)
-	if err != nil {
-		return nil, err
-	}
-	g, err := h.SweepGrid(a.data, axisX, xs, axisY, ys)
-	if err != nil {
-		return nil, err
-	}
-	report.Grid(w, g, req.KneeBound)
-	return report.NewGridDoc(g, req.KneeBound), nil
-}
-
-func (s *Server) runDiffstats(h *harness.Harness, w io.Writer, req JobRequest) (any, error) {
-	a, err := s.artifact(req.Artifact)
-	if err != nil {
-		return nil, err
-	}
-	b, err := s.artifact(req.ArtifactB)
-	if err != nil {
-		return nil, err
-	}
-	for _, art := range []*Artifact{a, b} {
-		if art.Kind != KindTrace {
-			return nil, fmt.Errorf("serve: diffstats needs trace artifacts, %s is a %s", art.ID[:12], art.Kind)
-		}
-	}
-	sysA, err := systemFor(req.System, req.Threshold)
-	if err != nil {
-		return nil, err
-	}
-	sysB := sysA
-	if req.SystemB != "" {
-		if sysB, err = systemFor(req.SystemB, req.Threshold); err != nil {
-			return nil, err
-		}
-	}
-	if sysA, err = shapeToTrace(sysA, a.hdr); err != nil {
-		return nil, err
-	}
-	if sysB, err = shapeToTrace(sysB, b.hdr); err != nil {
-		return nil, err
-	}
-	appA, err := registerTrace(h, a)
-	if err != nil {
-		return nil, err
-	}
-	appB, err := registerTrace(h, b)
-	if err != nil {
-		return nil, err
-	}
-	runA, err := h.Run(appA, sysA)
-	if err != nil {
-		return nil, err
-	}
-	runB, err := h.Run(appB, sysB)
-	if err != nil {
-		return nil, err
-	}
-	d := stats.Diff(runA, runB)
-	report.DeltaTable(w, appA, appB, d, false)
-	return report.NewDeltaDoc(appA, appB, d), nil
-}
-
-func (s *Server) runExperiments(h *harness.Harness, w io.Writer, req JobRequest) (any, error) {
-	apps := req.Apps
-	if len(apps) == 0 {
-		apps = harness.AllApps()
-	}
-	figures := req.Figures
-	if len(figures) == 0 {
-		figures = []string{"6"}
-	}
-	docs := make([]report.FigureDoc, 0, len(figures))
-	for i, f := range figures {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		switch f {
-		case "5":
-			curves, err := h.Figure5(apps)
-			if err != nil {
-				return nil, err
-			}
-			report.Figure5(w, curves)
-			docs = append(docs, report.FigureDoc{Figure: "figure5", Rows: curves})
-		case "6":
-			rows, err := h.Figure6(apps)
-			if err != nil {
-				return nil, err
-			}
-			report.Figure6(w, rows)
-			docs = append(docs, report.FigureDoc{Figure: "figure6", Rows: rows})
-		case "7":
-			rows, err := h.Figure7(apps)
-			if err != nil {
-				return nil, err
-			}
-			report.Figure7(w, rows)
-			docs = append(docs, report.FigureDoc{Figure: "figure7", Rows: rows})
-		case "8":
-			rows, err := h.Figure8(apps)
-			if err != nil {
-				return nil, err
-			}
-			report.Figure8(w, rows)
-			docs = append(docs, report.FigureDoc{Figure: "figure8", Rows: rows})
-		case "9":
-			rows, err := h.Figure9(apps)
-			if err != nil {
-				return nil, err
-			}
-			report.Figure9(w, rows)
-			docs = append(docs, report.FigureDoc{Figure: "figure9", Rows: rows})
-		case "table4":
-			rows, err := h.Table4(apps)
-			if err != nil {
-				return nil, err
-			}
-			report.Table4(w, rows)
-			docs = append(docs, report.FigureDoc{Figure: "table4", Rows: rows})
-		default:
-			return nil, fmt.Errorf("serve: unknown figure %q (want 5, 6, 7, 8, 9, or table4)", f)
-		}
-	}
-	return docs, nil
+	return in, nil
 }

@@ -108,6 +108,8 @@ func TestSubmitValueErrors(t *testing.T) {
 		{"grid equal axes", fmt.Sprintf(`{"type":"grid","artifact":"%s","axis":"block","values":"16","axisB":"block","valuesB":"32"}`, a.ID), 422, "differ"},
 		{"grid bad bound", fmt.Sprintf(`{"type":"grid","artifact":"%s","axis":"block","values":"16","axisB":"threshold","valuesB":"32","kneeBound":-1}`, a.ID), 422, "kneeBound"},
 		{"grid missing axisB", fmt.Sprintf(`{"type":"grid","artifact":"%s","axis":"block","values":"16"}`, a.ID), 400, "grid needs"},
+		{"experiments unknown figure", `{"type":"experiments","figures":["6","12"]}`, 422, `"12"`},
+		{"experiments unknown app", `{"type":"experiments","figures":["6"],"apps":["fft","doom"]}`, 422, `"doom"`},
 		{"grid unknown artifact", `{"type":"grid","artifact":"nope","axis":"block","values":"16","axisB":"threshold","valuesB":"32"}`, 400, `"nope"`},
 	} {
 		code, msg := post(tc.body)

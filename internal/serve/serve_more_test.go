@@ -293,17 +293,16 @@ func TestExperimentsJobs(t *testing.T) {
 		t.Fatalf("default experiments job failed: %s", got.Error)
 	}
 
-	info = submit(t, ts, JobRequest{Type: "experiments", Figures: []string{"12"}})
-	if got := waitJob(t, ts, info.ID); got.Status != StatusFailed || !strings.Contains(got.Error, "unknown figure") {
-		t.Errorf("unknown figure: %+v", got)
-	}
-	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + info.ID + "/report")
+	// An unknown figure is rejected at submission, never queued.
+	body, _ := json.Marshal(JobRequest{Type: "experiments", Figures: []string{"12"}})
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
+	msg, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("failed job report: %s, want 422", resp.Status)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), `unknown figure \"12\"`) {
+		t.Errorf("unknown figure: %s %s, want 422 naming \"12\"", resp.Status, msg)
 	}
 }
 
