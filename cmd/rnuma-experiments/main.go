@@ -76,7 +76,8 @@
 // Exit status: 0 on success, 1 on runtime errors (bad trace files,
 // simulation failures), 2 on usage errors — unknown flags, experiments,
 // axes, figures, or applications, and unparseable -sweep-values/
-// -grid-values-* entries (the offending token is named on stderr).
+// -grid-values-* entries, and a negative -window (the offending token is
+// named on stderr).
 package main
 
 import (
@@ -169,6 +170,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func (o *options) run(stdout, stderr io.Writer) error {
+	if o.window < 0 {
+		return usage("-window must be >= 0 references, got %d", o.window)
+	}
 	req, err := o.request()
 	if err != nil {
 		return err

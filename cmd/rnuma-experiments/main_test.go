@@ -50,6 +50,7 @@ func TestUsageExitCodes(t *testing.T) {
 		{"zero timeline threshold", []string{"-exp", "timeline", "-sweep-values", "16,0"}, `"0"`},
 		{"negative grid bound", []string{"-exp", "grid", "-grid-bound", "-1"}, "-1"},
 		{"unknown app", []string{"-exp", "fig6", "-apps", "fft,doom"}, `"doom"`},
+		{"negative window", []string{"-exp", "timeline", "-window", "-3", "-sweep-trace", ciTrace}, "-window"},
 	}
 	for _, tc := range cases {
 		code, _, stderr := runCLI(t, tc.args...)

@@ -92,6 +92,7 @@ import (
 
 	"rnuma/internal/addr"
 	"rnuma/internal/config"
+	"rnuma/internal/experiment"
 	"rnuma/internal/harness"
 	"rnuma/internal/machine"
 	"rnuma/internal/profiling"
@@ -259,53 +260,35 @@ func formatFlags(fs *flag.FlagSet) func() []tracefile.WriterOption {
 	}
 }
 
-// systemFlags are the machine-configuration flags shared by replay and
-// diffstats; resolve them into a config.System after fs.Parse.
-func systemFlags(fs *flag.FlagSet) func() (config.System, error) {
-	protocol := fs.String("protocol", "rnuma", "protocol: ccnuma, scoma, rnuma")
-	bc := fs.Int("bc", -2, "block cache bytes (-1 = infinite, default per protocol)")
-	pc := fs.Int("pc", -2, "page cache bytes (default per protocol)")
-	thr := fs.Int("T", 64, "R-NUMA relocation threshold")
-	soft := fs.Bool("soft", false, "use SOFT costs (10-µs traps, 5-µs software shootdowns)")
-	ideal := fs.Bool("ideal", false, "replay on the infinite-block-cache baseline")
-	return func() (config.System, error) {
-		sys, err := config.SystemByName(*protocol)
-		if err != nil {
-			return sys, err
-		}
-		if *ideal {
-			sys = config.Ideal()
-		}
-		if *bc != -2 {
-			sys.BlockCacheBytes = *bc
-		}
-		if *pc != -2 {
-			sys.PageCacheBytes = *pc
-		}
-		sys.Threshold = *thr
-		if *soft {
-			sys.Costs = config.SoftCosts()
-		}
-		return sys, nil
-	}
-}
-
 // telemetryFlags are replay's sampling-probe flags; resolve the config
 // after fs.Parse. Requesting a JSON export without an explicit window
 // defaults the window instead of silently exporting an empty capture.
-func telemetryFlags(fs *flag.FlagSet) (cfg func() telemetry.Config, timelineOut, eventsOut *string) {
+func (c cli) telemetryFlags(fs *flag.FlagSet) (cfg func() (telemetry.Config, error), timelineOut, eventsOut *string) {
 	window := fs.Int64("window", 0,
 		fmt.Sprintf("telemetry window in references (0 = off; %d when -timeline/-events is given)", telemetry.DefaultWindow))
 	timelineOut = fs.String("timeline", "", `write the telemetry timeline (intervals + events) as JSON ("-" = stdout)`)
 	eventsOut = fs.String("events", "", `write the relocation event log as JSON ("-" = stdout)`)
-	cfg = func() telemetry.Config {
+	cfg = func() (telemetry.Config, error) {
 		w := *window
+		if err := c.checkWindow(w); err != nil {
+			return telemetry.Config{}, err
+		}
 		if w == 0 && (*timelineOut != "" || *eventsOut != "") {
 			w = telemetry.DefaultWindow
 		}
-		return telemetry.Config{Window: w}
+		return telemetry.Config{Window: w}, nil
 	}
 	return
+}
+
+// checkWindow rejects a negative -window as a usage error: it would
+// otherwise silently run unprobed.
+func (c cli) checkWindow(w int64) error {
+	if w < 0 {
+		fmt.Fprintf(c.stderr, "rnuma-trace: -window must be >= 0 references, got %d\n", w)
+		return errUsage
+	}
+	return nil
 }
 
 // exportTimeline writes the telemetry JSON artifacts: the full timeline
@@ -385,7 +368,12 @@ func (c cli) cmdGen(args []string) error {
 	}
 	if *trafficPath != "" {
 		cfg := workloads.Config{Nodes: *nodes, CPUsPerNode: *cpus, Geometry: addr.Default, Scale: *scale, Seed: *seed}
-		sc, err := loadTraffic(*trafficPath, cfg)
+		s, err := traffic.Load(*trafficPath)
+		if err != nil {
+			return err
+		}
+		// Phase paths resolve against the scenario file's directory.
+		sc, err := traffic.Compile(s, cfg, filepath.Dir(*trafficPath))
 		if err != nil {
 			return err
 		}
@@ -414,16 +402,6 @@ func (c cli) cmdGen(args []string) error {
 		return err
 	}
 	return c.capture(w, cfg, *out, format()...)
-}
-
-// loadTraffic compiles a traffic scenario file for a machine shape; phase
-// paths resolve against the scenario file's directory.
-func loadTraffic(path string, cfg workloads.Config) (*traffic.Scenario, error) {
-	s, err := traffic.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	return traffic.Compile(s, cfg, filepath.Dir(path))
 }
 
 // capture drains the workload into a trace file and reports the encoding
@@ -750,7 +728,7 @@ func (c cli) cmdDiff(args []string) error {
 // its own recorded shape); what is compared is the resulting runs.
 func (c cli) cmdDiffStats(args []string) error {
 	fs := c.flagSet("diffstats")
-	system := systemFlags(fs)
+	system := config.SystemFlags(fs)
 	verbose := fs.Bool("v", false, "list unchanged counters too")
 	tol := fs.Float64("tol", 0, "tolerance band in percent on timing counters (0 = require exact match)")
 	a, b, paths, err := c.openPair(fs, args)
@@ -856,6 +834,18 @@ func (c cli) openTrace(positional, tracePath string) (io.ReadCloser, string, err
 	return f, path, nil
 }
 
+// readTrace reads a whole trace argument into memory, so the run and
+// its ideal-machine baseline can both replay it (stdin included).
+func (c cli) readTrace(positional, tracePath string) ([]byte, string, error) {
+	r, name, err := c.openTrace(positional, tracePath)
+	if err != nil {
+		return nil, "", err
+	}
+	defer r.Close()
+	data, err := io.ReadAll(r)
+	return data, name, err
+}
+
 func (c cli) cmdInfo(args []string) error {
 	fs := c.flagSet("info")
 	tracePath := fs.String("trace", "", `trace file ("-" = stdin; also accepted positionally)`)
@@ -917,9 +907,12 @@ func (c cli) cmdSnapshot(args []string) error {
 	out := fs.String("o", "", "checkpoint output file (default <trace>.rnss)")
 	refs := fs.Int64("refs", 0, "pause after this many references (required)")
 	window := fs.Int64("window", 0, "telemetry window in references (0 = off); the checkpoint carries the probe cursor")
-	system := systemFlags(fs)
+	system := config.SystemFlags(fs)
 	target, err := c.parseWithTarget(fs, args)
 	if err != nil {
+		return err
+	}
+	if err := c.checkWindow(*window); err != nil {
 		return err
 	}
 	if *refs <= 0 {
@@ -999,12 +992,11 @@ func (c cli) cmdResume(args []string) error {
 	if *thr > 0 {
 		sys.Threshold = *thr
 	}
-	r, name, err := c.openTrace(target, *tracePath)
+	data, name, err := c.readTrace(target, *tracePath)
 	if err != nil {
 		return err
 	}
-	defer r.Close()
-	d, err := tracefile.NewReader(r)
+	d, err := tracefile.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
@@ -1042,10 +1034,10 @@ func (c cli) cmdResume(args []string) error {
 		return err
 	}
 
-	// Match replay's output: a file trace re-replays on the ideal
-	// machine for the normalization line (stdin can't be read twice).
-	if name != "stdin" && sys.BlockCacheBytes != config.InfiniteBlockCache {
-		base, err := harness.ReplayFile(name, config.Ideal())
+	// Match replay's output: the trace re-replays on the ideal machine
+	// for the normalization line.
+	if sys.BlockCacheBytes != config.InfiniteBlockCache {
+		base, err := harness.Replay(bytes.NewReader(data), config.Ideal())
 		if err != nil {
 			return err
 		}
@@ -1064,126 +1056,53 @@ func (c cli) cmdReplay(args []string) error {
 	seed := fs.Int64("seed", 0, "workload RNG seed (traffic mode only)")
 	nodes := fs.Int("nodes", 8, "SMP nodes (traffic mode only)")
 	cpus := fs.Int("cpus", 4, "CPUs per node (traffic mode only)")
-	system := systemFlags(fs)
-	tcfg, timelineOut, eventsOut := telemetryFlags(fs)
+	system := config.SystemFlags(fs)
+	tcfg, timelineOut, eventsOut := c.telemetryFlags(fs)
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the replay to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	target, err := c.parseWithTarget(fs, args)
 	if err != nil {
 		return err
 	}
+	h := harness.New(*scale)
+	h.Seed = *seed
+	if h.Telemetry, err = tcfg(); err != nil {
+		return err
+	}
+	// A traffic scenario compiles at the -nodes/-cpus shape; a trace
+	// replays on its recorded shape.
+	var in experiment.Input
 	if *trafficPath != "" {
 		if target != "" || *tracePath != "" {
 			return fmt.Errorf("replay takes a trace or -traffic, not both")
 		}
-		return c.replayTraffic(*trafficPath,
-			workloads.Config{Nodes: *nodes, CPUsPerNode: *cpus, Geometry: addr.Default, Scale: *scale, Seed: *seed},
-			system, tcfg, *timelineOut, *eventsOut, *cpuProfile, *memProfile)
-	}
-
-	r, name, err := c.openTrace(target, *tracePath)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	// Stdin cannot rewind: spool it so the trace can replay a second
-	// time for the ideal-machine normalization every figure uses.
-	var spooled []byte
-	var in io.Reader = r
-	if name == "stdin" {
-		if spooled, err = io.ReadAll(r); err != nil {
+		data, err := os.ReadFile(*trafficPath)
+		if err != nil {
 			return err
 		}
-		in = bytes.NewReader(spooled)
+		in = experiment.Input{Kind: experiment.KindTraffic, Name: *trafficPath, Dir: filepath.Dir(*trafficPath), Data: data}
+	} else {
+		data, name, err := c.readTrace(target, *tracePath)
+		if err != nil {
+			return err
+		}
+		in = experiment.Input{Kind: experiment.KindTrace, Name: name, Data: data}
 	}
 	sys, err := system()
 	if err != nil {
 		return err
 	}
+	sys.Nodes, sys.CPUsPerNode = *nodes, *cpus
 	stop, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
 	}
-	res, err := harness.Replay(in, sys, harness.WithTelemetry(tcfg()))
+	doc, err := experiment.Replay(h, c.stdout, sys, in, true)
 	if perr := stop(); err == nil {
 		err = perr
 	}
 	if err != nil {
 		return err
 	}
-	run, hdr := res.Run, res.Header
-	fmt.Fprintf(c.stdout, "trace: %s (workload %s, %d nodes x %d CPUs)\n", name, hdr.Name, hdr.Nodes, hdr.CPUs/hdr.Nodes)
-	report.RunSummary(c.stdout, sys.Name, run)
-	if run.Timeline != nil {
-		fmt.Fprintln(c.stdout)
-		report.Timeline(c.stdout, name, run.Timeline)
-	}
-	if err := c.exportTimeline(*timelineOut, *eventsOut, run.Timeline); err != nil {
-		return err
-	}
-
-	if sys.BlockCacheBytes != config.InfiniteBlockCache {
-		var base *harness.Result
-		if spooled != nil {
-			base, err = harness.Replay(bytes.NewReader(spooled), config.Ideal())
-		} else {
-			base, err = harness.ReplayFile(name, config.Ideal())
-		}
-		if err != nil {
-			return err
-		}
-		if base.Run.ExecCycles > 0 {
-			fmt.Fprintf(c.stdout, "  normalized exec time:  %.3f (vs infinite block cache)\n", run.Normalized(base.Run))
-		}
-	}
-	return nil
-}
-
-// replayTraffic compiles a traffic scenario and runs its multi-tenant mix
-// through the machine, reporting the run summary, the per-client counter
-// split, and (when probed) the timeline with per-client sparklines.
-func (c cli) replayTraffic(path string, cfg workloads.Config,
-	system func() (config.System, error), tcfg func() telemetry.Config,
-	timelineOut, eventsOut, cpuProfile, memProfile string) error {
-	sc, err := loadTraffic(path, cfg)
-	if err != nil {
-		return err
-	}
-	sys, err := system()
-	if err != nil {
-		return err
-	}
-	stop, err := profiling.Start(cpuProfile, memProfile)
-	if err != nil {
-		return err
-	}
-	run, err := harness.RunWorkload(sc.Workload(), sc.Cfg, sys, harness.WithTelemetry(tcfg()))
-	if perr := stop(); err == nil {
-		err = perr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(c.stdout, "traffic: %s (%d clients, %d nodes x %d CPUs)\n",
-		sc.Name, len(sc.Clients), sc.Cfg.Nodes, sc.Cfg.CPUsPerNode)
-	report.RunSummary(c.stdout, sys.Name, run)
-	fmt.Fprintln(c.stdout)
-	report.ClientTable(c.stdout, run)
-	if run.Timeline != nil {
-		fmt.Fprintln(c.stdout)
-		report.Timeline(c.stdout, sc.Name, run.Timeline)
-	}
-	if err := c.exportTimeline(timelineOut, eventsOut, run.Timeline); err != nil {
-		return err
-	}
-	if sys.BlockCacheBytes != config.InfiniteBlockCache {
-		base, err := harness.RunWorkload(sc.Workload(), sc.Cfg, config.Ideal())
-		if err != nil {
-			return err
-		}
-		if base.ExecCycles > 0 {
-			fmt.Fprintf(c.stdout, "  normalized exec time:  %.3f (vs infinite block cache)\n", run.Normalized(base))
-		}
-	}
-	return nil
+	return c.exportTimeline(*timelineOut, *eventsOut, doc.Run.Timeline)
 }

@@ -35,6 +35,15 @@ func record(t *testing.T, args ...string) []byte {
 	return []byte(stdout)
 }
 
+func mustReadFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func TestUsageExitCodes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -51,12 +60,17 @@ func TestUsageExitCodes(t *testing.T) {
 		{"diff-one-file", []string{"diff", "a.trace"}, 1},
 		{"diffstats-three-files", []string{"diffstats", "a", "b", "c"}, 1},
 		{"diff-double-stdin", []string{"diff", "-", "-"}, 1},
+		{"replay-negative-window", []string{"replay", "../../testdata/ci/fft.trace", "-window", "-5"}, 2},
+		{"snapshot-negative-window", []string{"snapshot", "../../testdata/ci/fft.trace", "-refs", "100", "-window", "-5"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, _, _ := runCLI(t, nil, tc.args...)
+			code, _, stderr := runCLI(t, nil, tc.args...)
 			if code != tc.want {
 				t.Fatalf("exit %d, want %d", code, tc.want)
+			}
+			if strings.HasSuffix(tc.name, "negative-window") && !strings.Contains(stderr, "-window") {
+				t.Errorf("stderr does not name -window: %s", stderr)
 			}
 		})
 	}
@@ -347,6 +361,15 @@ func TestSnapshotResumeCLI(t *testing.T) {
 	}
 	if stats(resumed) != stats(full) {
 		t.Errorf("resumed stats differ from uninterrupted replay:\n--- replay\n%s--- resume\n%s", stats(full), stats(resumed))
+	}
+	// A piped trace resumes like the file: stdin is read into memory, so
+	// the ideal-machine baseline replays it for the normalized line too.
+	code, piped, stderr := runCLI(t, mustReadFile(t, tracePath), "resume", "-", "-snap", snapPath)
+	if code != 0 {
+		t.Fatalf("stdin resume exited %d: %s", code, stderr)
+	}
+	if stats(piped) != stats(resumed) || !strings.Contains(piped, "normalized exec time:") {
+		t.Errorf("stdin resume differs from the file resume:\n--- file\n%s--- stdin\n%s", stats(resumed), stats(piped))
 	}
 
 	// Forking the checkpoint at a lower threshold matches a full replay

@@ -56,7 +56,7 @@
 //     snapshot-resumed replays produce bit-identical timelines because
 //     checkpoints carry the probe cursor
 //   - internal/profiling — shared -cpuprofile/-memprofile plumbing for
-//     rnuma-sim and rnuma-trace replay (the one trace-replay front end)
+//     rnuma-sim and rnuma-trace replay
 //   - internal/harness — the experiment-plan layer and concurrent
 //     scheduler that regenerate every table and figure; spec files and
 //     recorded traces register as workload sources whose memo keys hash
@@ -78,7 +78,9 @@
 //     that drives the harness and renders the text report and JSON
 //     document from the same result; rnuma-experiments and rnuma-serve
 //     are front ends that only build requests, so the same request
-//     renders the same bytes through either
+//     renders the same bytes through either; its Replay is the one
+//     single-run report, which rnuma-trace replay and rnuma-sim (catalog
+//     apps, specs, and -record's record-then-replay) call directly
 //   - internal/serve — the long-running experiment service behind
 //     cmd/rnuma-serve: content-addressed artifact uploads (traces,
 //     specs, traffic scenarios), replay/sweep/grid/diffstats/

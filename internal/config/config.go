@@ -5,6 +5,7 @@
 package config
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 
@@ -221,6 +222,40 @@ func SystemByName(name string) (System, error) {
 		return Ideal(), nil
 	}
 	return System{}, fmt.Errorf("config: unknown protocol %q (want ccnuma, scoma, rnuma, or ideal)", name)
+}
+
+// SystemFlags registers the system-selection flags the simulating CLIs
+// share (-protocol, -bc, -pc, -T, -soft, -ideal) on fs and returns the
+// resolver to call after fs.Parse. -ideal selects the normalization
+// baseline regardless of -protocol; -bc and -pc override the protocol's
+// cache sizes when given.
+func SystemFlags(fs *flag.FlagSet) func() (System, error) {
+	protocol := fs.String("protocol", "rnuma", "protocol: ccnuma, scoma, rnuma")
+	bc := fs.Int("bc", -2, "block cache bytes (-1 = infinite, default per protocol)")
+	pc := fs.Int("pc", -2, "page cache bytes (default per protocol)")
+	thr := fs.Int("T", 64, "R-NUMA relocation threshold")
+	soft := fs.Bool("soft", false, "use SOFT costs (10-µs traps, 5-µs software shootdowns)")
+	ideal := fs.Bool("ideal", false, "run on the infinite-block-cache baseline")
+	return func() (System, error) {
+		sys, err := SystemByName(*protocol)
+		if err != nil {
+			return sys, err
+		}
+		if *ideal {
+			sys = Ideal()
+		}
+		if *bc != -2 {
+			sys.BlockCacheBytes = *bc
+		}
+		if *pc != -2 {
+			sys.PageCacheBytes = *pc
+		}
+		sys.Threshold = *thr
+		if *soft {
+			sys.Costs = SoftCosts()
+		}
+		return sys, nil
+	}
 }
 
 // Validate reports configuration errors before a run.

@@ -6,6 +6,8 @@
 // the kinds that have one) the JSON document from the same harness
 // result. The same request therefore renders the same bytes through
 // either front end, and both reject the same bad inputs through Validate.
+// Replay, the replay kind's single-run report, is also the whole run
+// path of rnuma-trace replay and rnuma-sim.
 package experiment
 
 import (
@@ -70,12 +72,13 @@ const (
 	KindTrace   = "trace"   // a recorded tracefile encoding
 	KindSpec    = "spec"    // a declarative workload spec (JSON)
 	KindTraffic = "traffic" // a multi-tenant traffic scenario (JSON)
+	KindApp     = "app"     // a catalog application, by Name (no Data)
 )
 
 // Input is one resolved input: the bytes of a trace, spec, or traffic
-// scenario plus the names the reports print for it. Replay, sweep, grid,
-// timeline, and traffic take one input; diffstats takes two; experiments
-// takes none.
+// scenario (or a catalog application's name) plus the names the reports
+// print for it. Replay, sweep, grid, timeline, and traffic take one
+// input; diffstats takes two; experiments takes none.
 type Input struct {
 	Kind string
 	// Name registers a trace with the harness; diffstats tables and

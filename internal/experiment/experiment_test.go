@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 
+	"rnuma/internal/config"
 	"rnuma/internal/harness"
 	"rnuma/internal/report"
+	"rnuma/internal/stats"
 	"rnuma/internal/tracefile"
 )
 
@@ -214,5 +217,51 @@ func TestExecuteErrors(t *testing.T) {
 	clash := Input{Kind: KindTrace, Name: tr.Name, Data: dilated.Bytes()}
 	if _, err := Execute(h, new(bytes.Buffer), Request{Type: "replay"}, clash); err == nil || !strings.Contains(err.Error(), "different content") {
 		t.Errorf("name clash: %v", err)
+	}
+}
+
+// failIdeal is a store whose ideal-machine (infinite block cache) jobs
+// fail, so the baseline errors while the run itself succeeds.
+type failIdeal struct{ harness.Store }
+
+func (s failIdeal) StartOrWait(key harness.JobKey) (*stats.Run, bool, error) {
+	if strings.Contains(key.Sys, fmt.Sprintf("-bc%d-", config.InfiniteBlockCache)) {
+		return nil, false, errors.New("baseline failed")
+	}
+	return s.Store.StartOrWait(key)
+}
+
+// TestReplayApp: a catalog application replays under rnuma-sim's header;
+// an unknown one is a value error; a failing ideal baseline is an error,
+// not a silently missing normalized line.
+func TestReplayApp(t *testing.T) {
+	h := harness.New(0.02)
+	var buf bytes.Buffer
+	doc, err := Replay(h, &buf, config.Base(config.CCNUMA), Input{Kind: KindApp, Name: "fft"}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	if !strings.HasPrefix(text, "application: fft (64K points)\nsystem: CC-NUMA, 8x4 CPUs\nrun: CC-NUMA\n") ||
+		!strings.Contains(text, "normalized exec time:") || doc.Name != "fft" || doc.Normalized == 0 {
+		t.Errorf("app replay (doc %q %v):\n%s", doc.Name, doc.Normalized, text)
+	}
+
+	// The ideal machine itself has no baseline to normalize against.
+	buf.Reset()
+	if _, err := Replay(h, &buf, config.Ideal(), Input{Kind: KindApp, Name: "fft"}, true); err != nil || strings.Contains(buf.String(), "normalized") {
+		t.Errorf("ideal replay (err %v):\n%s", err, buf.String())
+	}
+
+	_, err = Replay(h, new(bytes.Buffer), config.Base(config.RNUMA), Input{Kind: KindApp, Name: "doom"}, true)
+	if ve := new(ValueError); !errors.As(err, &ve) || !strings.Contains(err.Error(), `"doom"`) {
+		t.Errorf("unknown app: %v", err)
+	}
+
+	failing := harness.New(0.02)
+	failing.Store = failIdeal{harness.NewMemoryStore()}
+	buf.Reset()
+	if _, err := Replay(failing, &buf, config.Base(config.RNUMA), Input{Kind: KindApp, Name: "fft"}, true); err == nil || !strings.Contains(err.Error(), "baseline failed") {
+		t.Errorf("baseline error not returned: %v\n%s", err, buf.String())
 	}
 }

@@ -56,30 +56,100 @@ func registerTrace(h *harness.Harness, in Input, sys config.System) (config.Syst
 	return sys, hdr, nil
 }
 
-func replay(h *harness.Harness, w io.Writer, req Request, _ *parsed, inputs []Input) (any, error) {
-	in := inputs[0]
+// replay is the daemon's and rnuma-experiments' adapter over Replay.
+func replay(h *harness.Harness, w io.Writer, req Request, _ *parsed, in []Input) (any, error) {
 	sys, err := systemFor(req.System, req.Threshold)
 	if err != nil {
 		return nil, err
 	}
-	app := in.Name
+	doc, err := Replay(h, w, sys, in[0], req.Normalize)
+	if err != nil {
+		return nil, err
+	}
+	return doc, nil
+}
+
+// Replay runs one input on sys and writes its run report: the input's
+// header, the run summary, the per-client table (traffic mixes), the
+// timeline (when the harness probes), and, when normalize is set and sys
+// is not itself the ideal machine, execution time relative to the
+// same-shape ideal machine. A trace replays on its recorded shape and
+// geometry; every other kind runs at sys's shape and the harness's scale
+// and seed. It is the one path from an input to a run report: replay
+// jobs, rnuma-trace replay, and rnuma-sim all call it.
+func Replay(h *harness.Harness, w io.Writer, sys config.System, in Input, normalize bool) (report.RunDoc, error) {
+	app, header, err := resolve(h, &sys, in)
+	if err != nil {
+		return report.RunDoc{}, err
+	}
+	if err := sys.Validate(); err != nil {
+		return report.RunDoc{}, err
+	}
+	ideal := config.Ideal()
+	ideal.Nodes, ideal.CPUsPerNode, ideal.Geometry = sys.Nodes, sys.CPUsPerNode, sys.Geometry
+	normalize = normalize && sys.BlockCacheBytes != config.InfiniteBlockCache
+	if normalize {
+		// The run and its baseline are independent: fan them out together.
+		h.Prefetch(harness.NewPlan().Add(harness.NewJob(app, sys), harness.NewJob(app, ideal)))
+	}
+	run, err := h.Run(app, sys)
+	if err != nil {
+		return report.RunDoc{}, err
+	}
+	fmt.Fprint(w, header)
+	report.RunSummary(w, sys.Name, run)
+	if len(run.Clients) > 0 {
+		fmt.Fprintln(w)
+		report.ClientTable(w, run)
+	}
+	if run.Timeline != nil {
+		title := app
+		if in.Kind == KindTrace {
+			title = in.label()
+		}
+		fmt.Fprintln(w)
+		report.Timeline(w, title, run.Timeline)
+	}
+	var base *stats.Run
+	if normalize {
+		if base, err = h.Run(app, ideal); err != nil {
+			return report.RunDoc{}, err
+		}
+		if base.ExecCycles > 0 {
+			fmt.Fprintf(w, "  normalized exec time:  %.3f (vs infinite block cache)\n", run.Normalized(base))
+		}
+	}
+	return report.NewRunDoc(app, sys.Name, run, base), nil
+}
+
+// resolve registers a replay input with the harness, sizes sys to a
+// trace's recorded shape, and returns the application name the input
+// runs under and its report header.
+func resolve(h *harness.Harness, sys *config.System, in Input) (app, header string, err error) {
 	switch in.Kind {
+	case KindApp:
+		a, ok := workloads.ByName(in.Name)
+		if !ok {
+			return "", "", valuef("experiment: unknown application %q", in.Name)
+		}
+		return a.Name, fmt.Sprintf("application: %s (%s)\nsystem: %s, %dx%d CPUs\n",
+			a.Name, a.PaperInput, sys.Name, sys.Nodes, sys.CPUsPerNode), nil
 	case KindTrace:
 		var hdr tracefile.Header
-		if sys, hdr, err = registerTrace(h, in, sys); err != nil {
-			return nil, err
+		if *sys, hdr, err = registerTrace(h, in, *sys); err != nil {
+			return "", "", err
 		}
-		fmt.Fprintf(w, "trace: %s (workload %s, %d nodes x %d CPUs)\n", in.label(), hdr.Name, sys.Nodes, sys.CPUsPerNode)
+		return in.Name, fmt.Sprintf("trace: %s (workload %s, %d nodes x %d CPUs)\n",
+			in.label(), hdr.Name, sys.Nodes, sys.CPUsPerNode), nil
 	case KindSpec:
 		src, err := harness.SpecSource(in.Data)
 		if err != nil {
-			return nil, err
+			return "", "", fmt.Errorf("%s: %w", in.label(), err)
 		}
 		if err := h.Register(src); err != nil {
-			return nil, err
+			return "", "", err
 		}
-		app = src.Name()
-		fmt.Fprintf(w, "spec: %s (%d nodes x %d CPUs)\n", app, sys.Nodes, sys.CPUsPerNode)
+		return src.Name(), fmt.Sprintf("spec: %s (%d nodes x %d CPUs)\n", src.Name(), sys.Nodes, sys.CPUsPerNode), nil
 	case KindTraffic:
 		cfg := workloads.Config{
 			Nodes:       sys.Nodes,
@@ -90,39 +160,15 @@ func replay(h *harness.Harness, w io.Writer, req Request, _ *parsed, inputs []In
 		}
 		src, err := harness.TrafficSource(in.Data, in.Dir, cfg)
 		if err != nil {
-			return nil, err
+			return "", "", fmt.Errorf("%s: %w", in.label(), err)
 		}
 		if err := h.Register(src); err != nil {
-			return nil, err
+			return "", "", err
 		}
-		app = src.Name()
-		fmt.Fprintf(w, "traffic: %s (%d clients, %d nodes x %d CPUs)\n",
-			app, len(src.Scenario().Clients), sys.Nodes, sys.CPUsPerNode)
-	default:
-		return nil, fmt.Errorf("experiment: input %s has unknown kind %q", in.label(), in.Kind)
+		return src.Name(), fmt.Sprintf("traffic: %s (%d clients, %d nodes x %d CPUs)\n",
+			src.Name(), len(src.Scenario().Clients), sys.Nodes, sys.CPUsPerNode), nil
 	}
-	run, err := h.Run(app, sys)
-	if err != nil {
-		return nil, err
-	}
-	report.RunSummary(w, sys.Name, run)
-	if len(run.Clients) > 0 {
-		fmt.Fprintln(w)
-		report.ClientTable(w, run)
-	}
-	// The normalization line is the one the offline replay CLI prints.
-	var base *stats.Run
-	if req.Normalize && sys.BlockCacheBytes != config.InfiniteBlockCache {
-		ideal := config.Ideal()
-		ideal.Nodes, ideal.CPUsPerNode, ideal.Geometry = sys.Nodes, sys.CPUsPerNode, sys.Geometry
-		if base, err = h.Run(app, ideal); err != nil {
-			return nil, err
-		}
-		if base.ExecCycles > 0 {
-			fmt.Fprintf(w, "  normalized exec time:  %.3f (vs infinite block cache)\n", run.Normalized(base))
-		}
-	}
-	return report.NewRunDoc(app, sys.Name, run, base), nil
+	return "", "", fmt.Errorf("experiment: input %s has unknown kind %q", in.label(), in.Kind)
 }
 
 func sweep(h *harness.Harness, w io.Writer, _ Request, p *parsed, in []Input) (any, error) {

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"rnuma/internal/config"
 	"rnuma/internal/machine"
@@ -21,8 +20,7 @@ import (
 // ReplayTraceFile / ThresholdForkRuns / ThresholdForkRunsProbe
 // entry points and their probe/no-probe duplicate signatures.
 
-// RunOption configures a one-shot Replay/ReplayFile/RunWorkload
-// execution.
+// RunOption configures a one-shot Replay/RunWorkload execution.
 type RunOption func(*runOptions)
 
 type runOptions struct {
@@ -61,7 +59,7 @@ func WithTelemetry(cfg telemetry.Config) RunOption {
 // threshold through the trunk-and-fork engine (fork.go): the shared
 // prefix is paid once, and Result.ByThreshold maps each threshold to a
 // run bit-identical to an independent full replay at that threshold.
-// Only Replay/ReplayFile accept it (a workload is a consume-once
+// Only Replay accepts it (a workload is a consume-once
 // stream; the fork engine needs a seekable encoding).
 func WithThresholds(thresholds ...int) RunOption {
 	return func(o *runOptions) { o.thresholds = append(o.thresholds, thresholds...) }
@@ -89,9 +87,10 @@ type Result struct {
 // Replay runs one recorded trace through a machine of its recorded
 // shape: the protocol, cache sizes, threshold, and costs come from sys,
 // while the node/CPU counts, geometry, segment size, and page placement
-// come from the trace header. This is the one-shot path the CLIs use
-// for replay and run-diffing; it bypasses the harness store (no Harness
-// receiver) because the callers replay each input exactly once.
+// come from the trace header. This is the one-shot path for run-diffing,
+// resumed runs' baselines, and probed threshold forks; it bypasses the
+// harness store (no Harness receiver) because the callers replay each
+// input exactly once.
 func Replay(r io.Reader, sys config.System, opts ...RunOption) (*Result, error) {
 	o := buildRunOptions(opts)
 	if len(o.thresholds) > 0 {
@@ -141,20 +140,6 @@ func replayThresholds(data []byte, sys config.System, o runOptions) (*Result, er
 	return res, nil
 }
 
-// ReplayFile is Replay over a trace file on disk.
-func ReplayFile(path string, sys config.System, opts ...RunOption) (*Result, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	defer f.Close()
-	res, err := Replay(f, sys, opts...)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return res, nil
-}
-
 // NewTraceMachine builds a machine for a recorded trace: the protocol,
 // cache sizes, threshold, and costs come from sys, while the node/CPU
 // counts, geometry, segment size, and page placement come from the trace
@@ -180,8 +165,9 @@ func NewTraceMachine(h tracefile.Header, sys config.System, opts ...machine.Opti
 // sizing config: the protocol, cache sizes, threshold, and costs come
 // from sys, the shape from cfg, and the page placement and attribution
 // from the workload itself. Like Replay it bypasses the store — it is
-// the CLIs' one-shot path for compiled scenarios. WithThresholds is not
-// supported here (workload streams are consume-once).
+// the one-shot path for a built workload (live-generation tests and
+// benchmarks). WithThresholds is not supported here (workload streams
+// are consume-once).
 func RunWorkload(w *workloads.Workload, cfg workloads.Config, sys config.System, opts ...RunOption) (*stats.Run, error) {
 	o := buildRunOptions(opts)
 	if len(o.thresholds) > 0 {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -352,7 +353,7 @@ func TestSharedStoreAcrossHarnesses(t *testing.T) {
 	}
 }
 
-// TestReplayFileAndOptions covers the one-shot file path and the
+// TestReplayFileAndOptions covers the one-shot trace path and the
 // machine-option plumbing of the consolidated Replay surface.
 func TestReplayFileAndOptions(t *testing.T) {
 	app, _ := workloads.ByName("fft")
@@ -362,21 +363,17 @@ func TestReplayFileAndOptions(t *testing.T) {
 	if _, _, err := tracefile.WriteWorkload(&buf, app.Build(cfg), cfg); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "fft.trace")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	sys := config.Base(config.RNUMA)
 
-	res, err := ReplayFile(path, sys)
+	res, err := Replay(bytes.NewReader(buf.Bytes()), sys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Run.ExecCycles == 0 || res.Header.Name != "fft" {
 		t.Errorf("replay: exec=%d header=%+v", res.Run.ExecCycles, res.Header)
 	}
-	if _, err := ReplayFile(filepath.Join(t.TempDir(), "nope.trace"), sys); err == nil {
-		t.Error("replaying a missing file succeeded")
+	if _, err := Replay(strings.NewReader("not a trace"), sys); err == nil {
+		t.Error("replaying a corrupt trace succeeded")
 	}
 
 	// WithMachineOptions rides along on one-shot replays (the verifier
