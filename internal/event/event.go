@@ -1,13 +1,19 @@
 // Package event provides the discrete-event machinery of the simulator: a
-// min-ordered actor queue that always advances the processor with the
-// globally smallest clock, and FIFO-server resources that model contention
-// at the memory bus, the network interfaces, and the protocol controllers.
+// winner-tree actor queue that always advances the processor with the
+// globally smallest (clock, ID), and FIFO-server resources that model
+// contention at the memory bus, the network interfaces, and the protocol
+// controllers.
 //
 // Because the engine only ever processes the event with the minimum
 // timestamp, resource acquisitions are causally consistent: an actor that
 // acquires a resource at time t can never be preempted retroactively by an
 // actor whose clock is still behind t.
 package event
+
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Resource is a FIFO server: callers acquire it at some time and hold it
 // for an occupancy; later callers queue behind earlier ones. It accumulates
@@ -87,113 +93,142 @@ func (r *Resource) SetState(s ResourceState) {
 }
 
 // Actor is anything with a clock that the engine schedules: in this
-// simulator, one per processor.
+// simulator, one per processor. The ID doubles as the actor's leaf in the
+// Queue, so IDs must be non-negative and unique among queued actors.
 type Actor struct {
 	ID    int
 	Clock int64
-	index int // heap position; -1 when not queued
 }
 
-// Queue is a min-heap of actors ordered by clock (ties broken by ID for
-// determinism). The zero value is ready to use.
+// Queue orders actors by clock, ties broken by ID for determinism. The
+// zero value is ready to use.
 //
-// The heap is hand-rolled rather than layered on container/heap: the
-// simulator performs one queue operation per memory reference, and the
-// interface dispatch per Less/Swap dominated the event loop's profile.
-// The ordering keys (clock, id) are stored inline in the heap slice so
-// sift operations compare without dereferencing actors — the pointer
-// chase per comparison was the next-largest line item. Update and Remove
-// let the hot loop reschedule the current actor in place instead of
-// paying a full Pop+Push.
+// It is a winner tree with one leaf per actor ID. The simulator performs
+// one queue operation per memory reference, nearly always rescheduling
+// the top actor, and the tree does that with one branch-free min per
+// level. Each key packs the clock and the ID into one uint64
+// (clock<<shift | ID, shift = log2 of the leaf count), so a single
+// unsigned compare orders by (clock, ID) exactly; each internal node
+// holds the smaller key of its two children. Update rewrites one leaf and
+// recomputes the log2(n) nodes above it, Peek reads the root, and
+// SecondClock is the minimum over the siblings along the winner's
+// leaf-to-root path.
+//
+// Limits: a pushed ID must be non-negative and not already queued, and a
+// clock must satisfy 0 <= clock < 2^(64-shift)-1 (2^59-1 with 32 leaves).
+// The tree grows, repacking every key, when a Push brings an ID at or past
+// the leaf count. A violation panics rather than misordering the queue.
 type Queue struct {
-	h []entry
+	tree   []uint64 // tree[1] is the root; ID i's leaf is tree[leaves+i]
+	actors []*Actor // the queued actor per ID, nil when absent
+	leaves int      // leaf count, a power of two (0 before the first Push)
+	shift  uint     // log2(leaves): the key bits that hold the ID
+	limit  uint64   // clocks must be below this to pack
+	n      int      // queued actors
 }
 
-// entry is one heap slot: the ordering key plus the actor it schedules.
-type entry struct {
-	clock int64
-	id    int32
-	a     *Actor
-}
+// absent is the key of an empty leaf: it sorts after every packed key.
+const absent = ^uint64(0)
 
-func (e *entry) before(o *entry) bool {
-	if e.clock != o.clock {
-		return e.clock < o.clock
+// key packs the actor's (clock, ID) for its leaf.
+func (q *Queue) key(a *Actor) uint64 {
+	c := uint64(a.Clock)
+	if c >= q.limit {
+		panic(fmt.Sprintf("event: actor %d clock %d outside the queue's range [0, %d)", a.ID, a.Clock, q.limit))
 	}
-	return e.id < o.id
+	return c<<q.shift | uint64(a.ID)
 }
 
-func (q *Queue) up(i int) {
-	h := q.h
-	e := h[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		h[i].a.index = i
-		i = parent
+// fix recomputes the internal nodes on the path from leaf slot i to the
+// root.
+func (q *Queue) fix(i int) {
+	t := q.tree
+	k := t[i]
+	for i > 1 {
+		k = min(k, t[i^1])
+		i >>= 1
+		t[i] = k
 	}
-	h[i] = e
-	e.a.index = i
 }
 
-func (q *Queue) down(i int) {
-	h := q.h
-	n := len(h)
-	e := h[i]
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && h[r].before(&h[child]) {
-			child = r
-		}
-		if !h[child].before(&e) {
-			break
-		}
-		h[i] = h[child]
-		h[i].a.index = i
-		i = child
+// grow widens the tree to the smallest power-of-two leaf count above id,
+// repacking the queued keys under the wider ID field. It repacks the
+// clocks the tree holds, not the actors' current fields, so an actor
+// whose clock advanced without an Update keeps its queued position.
+func (q *Queue) grow(id int) {
+	shift := uint(bits.Len(uint(id)))
+	leaves := 1 << shift
+	limit := uint64(1)<<(64-shift) - 1
+	if shift == 0 {
+		limit = 1 << 63 // a lone leaf packs the whole non-negative int64 range
 	}
-	h[i] = e
-	e.a.index = i
+	tree := make([]uint64, 2*leaves)
+	for i := range tree {
+		tree[i] = absent
+	}
+	for i, a := range q.actors {
+		if a == nil {
+			continue
+		}
+		c := q.tree[q.leaves+i] >> q.shift
+		if c >= limit {
+			panic(fmt.Sprintf("event: actor %d clock %d outside the range [0, %d) of a %d-leaf queue", i, c, limit, leaves))
+		}
+		tree[leaves+i] = c<<shift | uint64(i)
+	}
+	for i := leaves - 1; i >= 1; i-- {
+		tree[i] = min(tree[2*i], tree[2*i+1])
+	}
+	actors := make([]*Actor, leaves)
+	copy(actors, q.actors)
+	q.tree, q.actors, q.leaves, q.shift, q.limit = tree, actors, leaves, shift, limit
 }
 
-// Push inserts an actor into the queue.
+// Push inserts an actor into the queue. It panics on a negative ID, an ID
+// that is already queued, or a clock outside the packable range.
 func (q *Queue) Push(a *Actor) {
-	a.index = len(q.h)
-	q.h = append(q.h, entry{clock: a.Clock, id: int32(a.ID), a: a})
-	q.up(a.index)
+	if a.ID < 0 {
+		panic(fmt.Sprintf("event: actor ID %d is negative", a.ID))
+	}
+	if a.ID >= q.leaves {
+		q.grow(a.ID)
+	}
+	if q.actors[a.ID] != nil {
+		panic(fmt.Sprintf("event: actor ID %d is already queued", a.ID))
+	}
+	i := q.leaves + a.ID
+	q.tree[i] = q.key(a)
+	q.actors[a.ID] = a
+	q.n++
+	q.fix(i)
 }
 
 // Pop removes and returns the actor with the smallest clock, or nil if the
 // queue is empty.
 func (q *Queue) Pop() *Actor {
-	if len(q.h) == 0 {
-		return nil
+	a := q.Peek()
+	if a != nil {
+		q.Remove(a)
 	}
-	a := q.h[0].a
-	q.remove(0)
 	return a
 }
 
 // Peek returns the actor with the smallest clock without removing it.
 func (q *Queue) Peek() *Actor {
-	if len(q.h) == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	return q.h[0].a
+	return q.actors[q.tree[1]&uint64(q.leaves-1)]
 }
 
-// Update restores heap order after the actor's clock advanced in place.
-// Clocks only ever move forward, so the actor can only sink.
+// Update reorders the queue after a queued actor's clock changed in place.
 func (q *Queue) Update(a *Actor) {
-	i := a.index
-	q.h[i].clock = a.Clock
-	q.down(i)
+	if q.actors[a.ID] != a {
+		panic(fmt.Sprintf("event: Update of actor %d, which is not queued", a.ID))
+	}
+	i := q.leaves + a.ID
+	q.tree[i] = q.key(a)
+	q.fix(i)
 }
 
 // SecondClock returns the smallest clock among actors other than the
@@ -201,37 +236,29 @@ func (q *Queue) Update(a *Actor) {
 // event loop uses it to decide whether advancing the top actor's clock
 // would overtake anyone — without paying an Update to find out.
 func (q *Queue) SecondClock() (int64, bool) {
-	if len(q.h) < 2 {
+	if q.n < 2 {
 		return 0, false
 	}
-	s := q.h[1].clock
-	if len(q.h) > 2 && q.h[2].before(&q.h[1]) {
-		s = q.h[2].clock
+	t := q.tree
+	s := absent
+	for i := q.leaves + int(t[1]&uint64(q.leaves-1)); i > 1; i >>= 1 {
+		s = min(s, t[i^1])
 	}
-	return s, true
+	return int64(s >> q.shift), true
 }
 
-// Remove deletes a queued actor regardless of its position.
-func (q *Queue) Remove(a *Actor) { q.remove(a.index) }
-
-func (q *Queue) remove(i int) {
-	h := q.h
-	n := len(h) - 1
-	a := h[i].a
-	if i != n {
-		h[i] = h[n]
-		h[i].a.index = i
+// Remove deletes a queued actor regardless of its position. It panics if
+// the actor is not queued.
+func (q *Queue) Remove(a *Actor) {
+	if a.ID < 0 || a.ID >= q.leaves || q.actors[a.ID] != a {
+		panic(fmt.Sprintf("event: Remove of actor %d, which is not queued", a.ID))
 	}
-	h[n] = entry{}
-	q.h = h[:n]
-	if i != n {
-		// The displaced actor may need to move either way relative to its
-		// new subtree.
-		q.down(i)
-		q.up(i)
-	}
-	a.index = -1
+	q.actors[a.ID] = nil
+	q.n--
+	i := q.leaves + a.ID
+	q.tree[i] = absent
+	q.fix(i)
 }
 
 // Len reports the number of queued actors.
-func (q *Queue) Len() int { return len(q.h) }
+func (q *Queue) Len() int { return q.n }

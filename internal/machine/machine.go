@@ -543,9 +543,10 @@ func (m *Machine) loop(pauseRefs int64, pauseAt uint32, pauseCounter bool) (done
 				// The compute gap advances this CPU's clock before the
 				// reference issues; if another CPU is now strictly
 				// earlier, defer the reference so events stay causally
-				// ordered. Peeking the runner-up clock directly lets the
+				// ordered. Reading the runner-up clock directly lets the
 				// common (no-deferral) case fold the gap and the access
-				// latency into a single heap update.
+				// latency into a single queue Update, one leaf-to-root
+				// pass of the winner tree.
 				a.Clock += int64(ref.Gap)
 				if s, ok := q.SecondClock(); ok && s < a.Clock {
 					q.Update(a)

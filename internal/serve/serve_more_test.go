@@ -9,7 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"rnuma/internal/tracefile"
 	"rnuma/internal/workloads"
@@ -19,7 +21,7 @@ import (
 // and job listings, single-artifact lookup by prefix, the store
 // counters, and the server event log.
 func TestListingAndStoreEndpoints(t *testing.T) {
-	var log bytes.Buffer
+	var log lockedBuffer
 	s, ts := newTestServer(t, Options{Log: &log})
 
 	trace := upload(t, ts, "", recordTrace(t, "fft"))
@@ -115,12 +117,37 @@ func TestListingAndStoreEndpoints(t *testing.T) {
 		t.Errorf("store snapshot = %+v, want 1 job with work done", st)
 	}
 
+	// The job goroutine logs "done" just after the status flips, so the
+	// line may trail waitJob by a moment.
+	deadline := time.Now().Add(10 * time.Second)
 	for _, want := range []string{"artifact", "job j1: submitted replay", "job j1: done"} {
+		for !strings.Contains(log.String(), want) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
 		if !strings.Contains(log.String(), want) {
 			t.Errorf("server log missing %q:\n%s", want, log.String())
 		}
 	}
 	_ = s
+}
+
+// lockedBuffer is a log sink the test can read while the server's job
+// goroutines are still writing to it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 // harnessStats mirrors harness.StoreStats for decoding without the import.

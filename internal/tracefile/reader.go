@@ -18,9 +18,12 @@ import (
 // are read from the underlying reader on demand: when a CPU's stream is
 // pulled and its queue is empty, the reader consumes chunks (buffering
 // records that belong to other CPUs) until one arrives for that CPU or
-// the file ends. Because the Writer interleaves chunks in near-replay
-// order, the demux queues stay small — the full trace is never
-// materialized.
+// the file ends, so the full trace is never materialized. A CPU's queue
+// can keep receiving chunks before it drains. Its consumed prefix is
+// reclaimed in place only on that stream's own pull (fill), and a chunk
+// that outgrows the queue moves just the undelivered records to new
+// storage (readChunk), so a queue's capacity stays within twice its peak
+// live backlog instead of growing with the stream.
 //
 // trace.Stream cannot carry an error, so a malformed or truncated file
 // makes the affected streams end early and records a sticky error; check
@@ -182,11 +185,25 @@ type readerStream struct {
 // fill ensures the CPU's queue has at least one deliverable record,
 // reading chunks as needed. It reports false at end of stream or on a
 // decode error.
+//
+// fill is also where the queue's consumed prefix is reclaimed in place,
+// because only this stream's own call releases the view the previous
+// NextBatch returned. A drained queue restarts at the front. A queue that
+// has taken in more than one chunk's worth of records (it is receiving
+// chunks faster than it drains) moves its live tail to the front once the
+// tail is no longer than the consumed prefix; each move copies at most as
+// many records as were consumed since the last one, so it costs O(1) per
+// record. A queue holding at most one chunk is left to drain: it restarts
+// for free, and the scalar Next path pays no copies.
 func (s *readerStream) fill() bool {
-	d := s.d
-	for d.heads[s.cpu] >= len(d.queues[s.cpu]) {
-		d.queues[s.cpu] = d.queues[s.cpu][:0]
-		d.heads[s.cpu] = 0
+	d, cpu := s.d, s.cpu
+	q, head := d.queues[cpu], d.heads[cpu]
+	if head < len(q) && (len(q) <= chunkRecords || len(q)-head > head) {
+		return true
+	}
+	d.queues[cpu] = q[:copy(q, q[head:])]
+	d.heads[cpu] = 0
+	for len(d.queues[cpu]) == 0 {
 		if d.done || d.err != nil {
 			return false
 		}
@@ -349,6 +366,23 @@ func (d *Reader) readChunk() {
 	// state held in locals. The skipped prefix (records owed to a pending
 	// Seek) is decoded for its delta side effects but not queued.
 	q := d.queues[cpu]
+	if cap(q)-len(q) < int(count) {
+		// Move to fresh storage that carries over only the records not
+		// yet delivered. The old array is never written again, so a view
+		// NextBatch handed out keeps its records. Capacity doubles only
+		// when the undelivered records plus this chunk outgrow it, so it
+		// stays within twice the queue's peak backlog.
+		head := d.heads[cpu]
+		live := len(q) - head
+		size := cap(q)
+		if need := live + int(count); need > size {
+			size = max(need, 2*size)
+		}
+		nq := make([]trace.Ref, live, size)
+		copy(nq, q[head:])
+		q = nq
+		d.heads[cpu] = 0
+	}
 	skip := d.skip[cpu]
 	last := d.lastPage[cpu]
 	maxPage := int64(d.h.SharedPages)
