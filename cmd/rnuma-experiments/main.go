@@ -2,13 +2,12 @@
 //
 // Usage:
 //
-//	rnuma-experiments [-exp all|fig5|table4|fig6|fig7|fig8|fig9|model|lu|sweep|dilate|geometry|grid|timeline|traffic]
+//	rnuma-experiments [-exp all|fig5|table4|fig6|fig7|fig8|fig9|model|lu|sweep|grid|timeline|traffic]
 //	                  [-apps barnes,lu,...] [-specs a.json,b.json]
 //	                  [-traces x.trace,...] [-scale 1.0] [-seed 0]
 //	                  [-parallel N] [-v] [-progress] [-window N]
-//	                  [-sweep-trace x.trace] [-sweep-app em3d] [-sweep-nodes 4,8,16]
+//	                  [-sweep-trace x.trace] [-sweep-app em3d]
 //	                  [-sweep-axis nodes|dilate|block|page|threshold] [-sweep-values ...]
-//	                  [-dilate-factors 1/2,1,2,4] [-geometry-axis block|page] [-geometry-values ...]
 //	                  [-grid-axes block,threshold] [-grid-values-a ...] [-grid-values-b ...]
 //	                  [-grid-bound 1.10] [-grid-json grid.json]
 //	                  [-diff a.trace,b.trace] [-diff-protocol rnuma]
@@ -30,13 +29,14 @@
 // parameter axis and normalized to the same-configuration ideal machine
 // at every point:
 //
-//   - -exp sweep sweeps the node count (-sweep-nodes), or any axis via
-//     -sweep-axis/-sweep-values (nodes, dilate, block, page, threshold);
-//   - -exp dilate sweeps compute-gap scale factors (-dilate-factors,
-//     default 1/2,1,2,4) — the "faster processors" study: x1/2 halves
-//     every compute gap, doubling the relative cost of memory;
-//   - -exp geometry sweeps the block or page size (-geometry-axis,
-//     -geometry-values) through geometry retargeting;
+//   - -exp sweep sweeps one axis (-sweep-axis, default nodes) over
+//     -sweep-values, which defaults per axis: nodes 4,8,16 (round-robin
+//     re-homing onto each machine size); dilate 1/2,1,2,4 (compute-gap
+//     scale factors — the "faster processors" study: x1/2 halves every
+//     compute gap, doubling the relative cost of memory); block
+//     16,32,64,128 and page 2048,4096,8192 (sizes in bytes, through
+//     geometry retargeting); threshold 16,64,256,1024 (R-NUMA's
+//     relocation threshold, forked from one trunk replay);
 //   - -exp grid sweeps two axes at once (-grid-axes "x,y", values from
 //     -grid-values-a/-grid-values-b, defaulting per axis) and renders a
 //     heat map of the per-cell R-NUMA/best ratio, the exact numbers, and
@@ -111,9 +111,7 @@ type options struct {
 	seed, window                               int64
 	parallel                                   int
 	verbose, progress                          bool
-	sweepTrace, sweepApp, sweepNodes           string
-	sweepAxis, sweepVals, dilateVals           string
-	geomAxis, geomVals                         string
+	sweepTrace, sweepApp, sweepAxis, sweepVals string
 	gridAxes, gridValsA, gridValsB             string
 	gridBound                                  float64
 	gridJSON, trafficSpec, diffPair, diffProto string
@@ -130,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var o options
 	fs := flag.NewFlagSet("rnuma-experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.StringVar(&o.exp, "exp", "all", "experiment: all, fig5, table4, fig6, fig7, fig8, fig9, model, lu, sweep, dilate, geometry, grid, timeline, traffic")
+	fs.StringVar(&o.exp, "exp", "all", "experiment: all, fig5, table4, fig6, fig7, fig8, fig9, model, lu, sweep, grid, timeline, traffic")
 	fs.StringVar(&o.apps, "apps", "", "comma-separated application subset (default: all ten)")
 	fs.StringVar(&o.specs, "specs", "", "comma-separated workload spec files to add as applications")
 	fs.StringVar(&o.traces, "traces", "", "comma-separated recorded trace files to add as applications")
@@ -140,12 +138,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.verbose, "v", false, "log run progress")
 	fs.StringVar(&o.sweepTrace, "sweep-trace", "", "recorded trace to sweep (default: record -sweep-app at the 8x4 base shape)")
 	fs.StringVar(&o.sweepApp, "sweep-app", "em3d", "catalog application to record for the sweep when no -sweep-trace is given")
-	fs.StringVar(&o.sweepNodes, "sweep-nodes", "4,8,16", "comma-separated node counts for -exp sweep")
 	fs.StringVar(&o.sweepAxis, "sweep-axis", "nodes", "-exp sweep axis: nodes, dilate, block, page, threshold")
 	fs.StringVar(&o.sweepVals, "sweep-values", "", "comma-separated values for -sweep-axis (default per axis)")
-	fs.StringVar(&o.dilateVals, "dilate-factors", "1/2,1,2,4", "comma-separated gap scale factors for -exp dilate")
-	fs.StringVar(&o.geomAxis, "geometry-axis", "block", "-exp geometry axis: block or page")
-	fs.StringVar(&o.geomVals, "geometry-values", "", "comma-separated sizes in bytes (default 16,32,64,128 for block; 2048,4096,8192 for page)")
 	fs.StringVar(&o.gridAxes, "grid-axes", "block,threshold", "-exp grid axes \"x,y\"; the x transform applies first")
 	fs.StringVar(&o.gridValsA, "grid-values-a", "", "comma-separated values for the first grid axis (default per axis)")
 	fs.StringVar(&o.gridValsB, "grid-values-b", "", "comma-separated values for the second grid axis (default per axis)")
@@ -245,7 +239,7 @@ var defaultValues = map[harness.Axis]string{
 }
 
 // request turns the flags into the executor's request. The sensitivity
-// experiments (sweep, dilate, geometry, grid, timeline) and traffic need
+// experiments (sweep, grid, timeline) and traffic need
 // an input file, so they run only when selected by name, never under
 // "all".
 func (o *options) request() (experiment.Request, error) {
@@ -261,23 +255,8 @@ func (o *options) request() (experiment.Request, error) {
 	}
 	switch o.exp {
 	case "sweep":
-		csv := o.sweepVals
-		if axis, err := harness.ParseAxis(o.sweepAxis); err == nil && axis == harness.AxisNodes && csv == "" {
-			// The original node-count sweep keeps its -sweep-nodes spelling.
-			csv = o.sweepNodes
-		}
-		return o.sweepRequest(o.sweepAxis, csv)
-	case "dilate":
-		return o.sweepRequest("dilate", o.dilateVals)
-	case "geometry":
-		axis, err := harness.ParseAxis(o.geomAxis)
-		if err != nil {
-			return experiment.Request{}, usageError{err}
-		}
-		if axis != harness.AxisBlockSize && axis != harness.AxisPageSize {
-			return experiment.Request{}, usage("-geometry-axis must be block or page, got %q", o.geomAxis)
-		}
-		return o.sweepRequest(o.geomAxis, o.geomVals)
+		csv, err := valuesFor(o.sweepAxis, o.sweepVals)
+		return experiment.Request{Type: "sweep", Artifact: o.sweepTrace, Axis: o.sweepAxis, Values: csv}, err
 	case "grid":
 		names := splitList(o.gridAxes)
 		if len(names) != 2 {
@@ -305,11 +284,6 @@ func (o *options) request() (experiment.Request, error) {
 		return experiment.Request{Type: "traffic", Artifact: o.trafficSpec}, nil
 	}
 	return experiment.Request{}, usage("unknown -exp %q", o.exp)
-}
-
-func (o *options) sweepRequest(axis, csv string) (experiment.Request, error) {
-	csv, err := valuesFor(axis, csv)
-	return experiment.Request{Type: "sweep", Artifact: o.sweepTrace, Axis: axis, Values: csv}, err
 }
 
 // valuesFor resolves one axis's value list, defaulting per axis when

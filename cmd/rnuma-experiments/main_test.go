@@ -34,8 +34,8 @@ func TestUsageExitCodes(t *testing.T) {
 		{"unknown flag", []string{"-bogus"}, "bogus"},
 		{"bad sweep value", []string{"-exp", "sweep", "-sweep-axis", "nodes", "-sweep-values", "4,x"}, `"x"`},
 		{"bad sweep axis", []string{"-exp", "sweep", "-sweep-axis", "warp"}, `"warp"`},
-		{"bad dilate factor", []string{"-exp", "dilate", "-dilate-factors", "1/0"}, `"1/0"`},
-		{"bad geometry axis", []string{"-exp", "geometry", "-geometry-axis", "nodes"}, `"nodes"`},
+		{"bad dilate factor", []string{"-exp", "sweep", "-sweep-axis", "dilate", "-sweep-values", "1/0"}, `"1/0"`},
+		{"removed dilate experiment", []string{"-exp", "dilate"}, `"dilate"`},
 		{"one grid axis", []string{"-exp", "grid", "-grid-axes", "block"}, `"block"`},
 		{"equal grid axes", []string{"-exp", "grid", "-grid-axes", "block,block"}, "different axes"},
 		{"bad grid axis", []string{"-exp", "grid", "-grid-axes", "block,warp"}, `"warp"`},

@@ -440,21 +440,51 @@ func (c cli) openOut(out string) (io.Writer, string, func() error, error) {
 	return f, out, f.Close, nil
 }
 
+// transform is the shared body of the one-input transforms (cut,
+// retarget, retarget-geometry, dilate). It registers -trace and -o,
+// parses the command line (the input may also come positionally), runs
+// prepare to validate the command's own flags, then streams the input
+// through apply into the output. A close-time write failure (ENOSPC,
+// EIO) means the output is truncated, so it fails the command. It
+// returns the input and output names for the summary line.
+func (c cli) transform(fs *flag.FlagSet, args []string, prepare func() error, apply func(dst io.Writer, src io.Reader) (int64, error)) (refs int64, in, out string, err error) {
+	tracePath := fs.String("trace", "", `trace file ("-" = stdin; also accepted positionally)`)
+	outPath := fs.String("o", "-", `output file ("-" = stdout)`)
+	target, err := c.parseWithTarget(fs, args)
+	if err != nil {
+		return 0, "", "", err
+	}
+	if err := prepare(); err != nil {
+		return 0, "", "", err
+	}
+	r, in, err := c.openTrace(target, *tracePath)
+	if err != nil {
+		return 0, "", "", err
+	}
+	defer r.Close()
+	dst, out, cleanup, err := c.openOut(*outPath)
+	if err != nil {
+		return 0, "", "", err
+	}
+	refs, err = apply(dst, r)
+	if cerr := cleanup(); err == nil {
+		err = cerr
+	}
+	return refs, in, out, err
+}
+
 func (c cli) cmdCut(args []string) error {
 	fs := c.flagSet("cut")
-	tracePath := fs.String("trace", "", `trace file ("-" = stdin; also accepted positionally)`)
-	out := fs.String("o", "-", `output file ("-" = stdout)`)
 	cpuList := fs.String("cpus", "", "comma-separated source CPU indices to keep (default all)")
 	from := fs.Int64("from", 0, "first per-CPU record index to keep")
 	to := fs.Int64("to", 0, "one past the last record index to keep (0 = end)")
 	format := formatFlags(fs)
-	target, err := c.parseWithTarget(fs, args)
-	if err != nil {
-		return err
-	}
-
-	sel := tracefile.CutSpec{From: *from, To: *to}
-	if *cpuList != "" {
+	var sel tracefile.CutSpec
+	refs, name, where, err := c.transform(fs, args, func() error {
+		sel = tracefile.CutSpec{From: *from, To: *to}
+		if *cpuList == "" {
+			return nil
+		}
 		for _, s := range strings.Split(*cpuList, ",") {
 			cpu, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil {
@@ -462,20 +492,10 @@ func (c cli) cmdCut(args []string) error {
 			}
 			sel.CPUs = append(sel.CPUs, cpu)
 		}
-	}
-	r, name, err := c.openTrace(target, *tracePath)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	dst, where, cleanup, err := c.openOut(*out)
-	if err != nil {
-		return err
-	}
-	refs, err := tracefile.Cut(dst, r, sel, format()...)
-	if cerr := cleanup(); err == nil {
-		err = cerr
-	}
+		return nil
+	}, func(dst io.Writer, r io.Reader) (int64, error) {
+		return tracefile.Cut(dst, r, sel, format()...)
+	})
 	if err != nil {
 		return err
 	}
@@ -531,8 +551,6 @@ func (c cli) cmdCat(args []string) error {
 
 func (c cli) cmdRetarget(args []string) error {
 	fs := c.flagSet("retarget")
-	tracePath := fs.String("trace", "", `trace file ("-" = stdin; also accepted positionally)`)
-	out := fs.String("o", "-", `output file ("-" = stdout)`)
 	nodes := fs.Int("nodes", 0, "target node count (0 = keep)")
 	cpus := fs.Int("cpus", 0, "target total CPU count (0 = keep)")
 	pages := fs.Int("pages", 0, "target shared page count (0 = keep)")
@@ -541,80 +559,53 @@ func (c cli) cmdRetarget(args []string) error {
 	mapPath := fs.String("map", "", "explicit remap file (JSON; overrides -policy)")
 	name := fs.String("name", "", "rename the retargeted workload")
 	format := formatFlags(fs)
-	target, err := c.parseWithTarget(fs, args)
-	if err != nil {
-		return err
-	}
-
-	var policy tracefile.RemapPolicy
-	if *mapPath != "" {
-		data, rerr := os.ReadFile(*mapPath)
-		if rerr != nil {
-			return rerr
-		}
-		if policy, err = tracefile.MapFilePolicy(data); err != nil {
+	var spec tracefile.RetargetSpec
+	refs, srcName, where, err := c.transform(fs, args, func() error {
+		var policy tracefile.RemapPolicy
+		var err error
+		if *mapPath != "" {
+			data, rerr := os.ReadFile(*mapPath)
+			if rerr != nil {
+				return rerr
+			}
+			if policy, err = tracefile.MapFilePolicy(data); err != nil {
+				return err
+			}
+		} else if policy, err = tracefile.PolicyByName(*policyName); err != nil {
 			return err
 		}
-	} else if policy, err = tracefile.PolicyByName(*policyName); err != nil {
-		return err
-	}
-	fold, err := tracefile.CPUFoldByName(*foldName)
+		fold, err := tracefile.CPUFoldByName(*foldName)
+		if err != nil {
+			return err
+		}
+		spec = tracefile.RetargetSpec{Nodes: *nodes, CPUs: *cpus, Pages: *pages, Policy: policy, CPUFold: fold, Name: *name}
+		return nil
+	}, func(dst io.Writer, r io.Reader) (int64, error) {
+		return tracefile.Retarget(dst, r, spec, format()...)
+	})
 	if err != nil {
 		return err
 	}
-	spec := tracefile.RetargetSpec{Nodes: *nodes, CPUs: *cpus, Pages: *pages, Policy: policy, CPUFold: fold, Name: *name}
-
-	r, srcName, err := c.openTrace(target, *tracePath)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	dst, where, cleanup, err := c.openOut(*out)
-	if err != nil {
-		return err
-	}
-	refs, err := tracefile.Retarget(dst, r, spec, format()...)
-	if cerr := cleanup(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(c.stderr, "retarget %s (%s): %d refs to %s\n", srcName, policy.Name(), refs, where)
+	fmt.Fprintf(c.stderr, "retarget %s (%s): %d refs to %s\n", srcName, spec.Policy.Name(), refs, where)
 	return nil
 }
 
 func (c cli) cmdRetargetGeometry(args []string) error {
 	fs := c.flagSet("retarget-geometry")
-	tracePath := fs.String("trace", "", `trace file ("-" = stdin; also accepted positionally)`)
-	out := fs.String("o", "-", `output file ("-" = stdout)`)
 	block := fs.Int("block", 0, "target block size in bytes (0 = keep)")
 	page := fs.Int("page", 0, "target page size in bytes (0 = keep)")
 	name := fs.String("name", "", "rename the retargeted workload")
 	format := formatFlags(fs)
-	target, err := c.parseWithTarget(fs, args)
-	if err != nil {
-		return err
-	}
-	if *block == 0 && *page == 0 {
-		return fmt.Errorf("retarget-geometry needs -block and/or -page")
-	}
-
-	r, srcName, err := c.openTrace(target, *tracePath)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	dst, where, cleanup, err := c.openOut(*out)
-	if err != nil {
-		return err
-	}
-	refs, err := tracefile.RetargetGeometry(dst, r, tracefile.GeometrySpec{
-		BlockBytes: *block, PageBytes: *page, Name: *name,
-	}, format()...)
-	if cerr := cleanup(); err == nil {
-		err = cerr
-	}
+	refs, srcName, where, err := c.transform(fs, args, func() error {
+		if *block == 0 && *page == 0 {
+			return fmt.Errorf("retarget-geometry needs -block and/or -page")
+		}
+		return nil
+	}, func(dst io.Writer, r io.Reader) (int64, error) {
+		return tracefile.RetargetGeometry(dst, r, tracefile.GeometrySpec{
+			BlockBytes: *block, PageBytes: *page, Name: *name,
+		}, format()...)
+	})
 	if err != nil {
 		return err
 	}
@@ -624,34 +615,17 @@ func (c cli) cmdRetargetGeometry(args []string) error {
 
 func (c cli) cmdDilate(args []string) error {
 	fs := c.flagSet("dilate")
-	tracePath := fs.String("trace", "", `trace file ("-" = stdin; also accepted positionally)`)
-	out := fs.String("o", "-", `output file ("-" = stdout)`)
 	factor := fs.String("factor", "1", "gap scale factor, N or N/D (e.g. 2, 1/2, 3/2)")
 	clamp := fs.Int("clamp", 0, "cap scaled gaps at this value (0 = format max 65535)")
 	name := fs.String("name", "", "rename the dilated workload")
 	format := formatFlags(fs)
-	target, err := c.parseWithTarget(fs, args)
-	if err != nil {
+	var num, den int64
+	refs, srcName, where, err := c.transform(fs, args, func() (err error) {
+		num, den, err = tracefile.ParseRatio(*factor)
 		return err
-	}
-
-	num, den, err := tracefile.ParseRatio(*factor)
-	if err != nil {
-		return err
-	}
-	r, srcName, err := c.openTrace(target, *tracePath)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	dst, where, cleanup, err := c.openOut(*out)
-	if err != nil {
-		return err
-	}
-	refs, err := tracefile.Dilate(dst, r, tracefile.DilateSpec{Num: num, Den: den, Clamp: *clamp, Name: *name}, format()...)
-	if cerr := cleanup(); err == nil {
-		err = cerr
-	}
+	}, func(dst io.Writer, r io.Reader) (int64, error) {
+		return tracefile.Dilate(dst, r, tracefile.DilateSpec{Num: num, Den: den, Clamp: *clamp, Name: *name}, format()...)
+	})
 	if err != nil {
 		return err
 	}

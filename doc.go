@@ -68,9 +68,10 @@
 //     once on a trunk machine and fork each point from a mid-run
 //     snapshot at the last threshold-independent reference, producing
 //     runs bit-identical to independent replays at a fraction of the
-//     wall-clock; SweepGrid crosses any two axes into a cell grid whose
-//     rows and columns are bit-identical to the one-axis sweeps, and
-//     FindKnee locates where on a grid line the R-NUMA-over-best ratio
+//     wall-clock; SweepGrid crosses any two axes into a cell grid built
+//     as one sweep line per outer value through the same line resolver
+//     as Sweep, so its rows and columns are bit-identical to (and share
+//     store entries with) the one-axis sweeps, and FindKnee locates where on a grid line the R-NUMA-over-best ratio
 //     first exceeds a bound
 //   - internal/experiment — the one experiment path: a Request (replay,
 //     sweep, grid, diffstats, paper figures, timeline, traffic) plus its

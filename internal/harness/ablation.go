@@ -11,10 +11,10 @@ import (
 // isolating the design decisions the paper's results rest on.
 
 // ablationJob builds a tagged job carrying extra machine options; the tag
-// keys it separately in the memo cache. The round-robin placement ablation
-// omits the workload's home map so the machine falls back to round-robin.
+// keys it separately in the memo cache. Job options apply after the
+// workload-derived ones, so they can override them.
 func ablationJob(appName string, sys config.System, tag string, opts ...machine.Option) Job {
-	return Job{App: appName, Sys: sys, Tag: tag, opts: opts, skipHomes: tag == "roundrobin"}
+	return Job{App: appName, Sys: sys, Tag: tag, opts: opts}
 }
 
 // runWith executes an application with extra machine options through the
@@ -155,12 +155,13 @@ func (h *Harness) AblationPlacement(appName string) (*PlacementAblation, error) 
 	rrSys := sys
 	rrSys.FirstTouch = false // machine falls back to round-robin homes
 	rrSys.Name = "CC-NUMA round-robin placement"
-	h.Prefetch(NewPlan().Add(NewJob(appName, sys), ablationJob(appName, rrSys, "roundrobin")))
+	noHomes := machine.WithHomes(nil) // ...once the workload's home map is dropped
+	h.Prefetch(NewPlan().Add(NewJob(appName, sys), ablationJob(appName, rrSys, "roundrobin", noHomes)))
 	ft, err := h.Run(appName, sys)
 	if err != nil {
 		return nil, err
 	}
-	rr, err := h.runWith(appName, rrSys, "roundrobin")
+	rr, err := h.runWith(appName, rrSys, "roundrobin", noHomes)
 	if err != nil {
 		return nil, err
 	}

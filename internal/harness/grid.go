@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"rnuma/internal/config"
 	"rnuma/internal/tracefile"
 )
 
@@ -19,10 +18,11 @@ import (
 //
 // Composition is canonical: the X transform applies first, then the Y
 // transform, so a cell's trace variant registers under the composed
-// name "name@<x>@<y>" and a grid column at fixed x is *by construction*
-// the one-axis Y sweep of the X variant — same transforms, same content
-// keys, same memo slots. The threshold axis stays a config-only axis
-// exactly as in Sweep: cells along it share one registered variant
+// name "name@<x>@<y>". Each grid line runs through the same line
+// resolver as Sweep (sweep.go), so a line at a fixed transform value is
+// *by construction* the one-axis sweep of that variant — same
+// transforms, same content keys, same memo slots. The threshold axis
+// stays a config-only axis: cells along it share one registered variant
 // source, differ only in sys.Threshold, and are pre-computed by the
 // trunk-and-fork engine (fork.go), so a whole threshold line costs
 // about one replay instead of one per cell.
@@ -69,17 +69,22 @@ type Grid struct {
 	Cells [][]GridCell
 }
 
+// point places the cell on a sweep axis, the shape Sweep returns.
+func (c GridCell) point(axis Axis, v SweepValue, label string) AxisPoint {
+	return AxisPoint{
+		Axis: axis, Value: v, Label: label,
+		Nodes: c.Nodes, CPUsPerNode: c.CPUsPerNode,
+		CCNUMA: c.CCNUMA, SCOMA: c.SCOMA, RNUMA: c.RNUMA,
+	}
+}
+
 // Row returns row i (YValues[i] held fixed) as one-axis sweep points
 // along the X axis — the same shape Sweep returns, so FindKnee and the
 // Sensitivity renderer apply to grid lines unchanged.
 func (g *Grid) Row(i int) []AxisPoint {
 	out := make([]AxisPoint, len(g.XValues))
 	for j, c := range g.Cells[i] {
-		out[j] = AxisPoint{
-			Axis: g.AxisX, Value: g.XValues[j], Label: g.XLabels[j],
-			Nodes: c.Nodes, CPUsPerNode: c.CPUsPerNode,
-			CCNUMA: c.CCNUMA, SCOMA: c.SCOMA, RNUMA: c.RNUMA,
-		}
+		out[j] = c.point(g.AxisX, g.XValues[j], g.XLabels[j])
 	}
 	return out
 }
@@ -88,13 +93,8 @@ func (g *Grid) Row(i int) []AxisPoint {
 // along the Y axis.
 func (g *Grid) Col(j int) []AxisPoint {
 	out := make([]AxisPoint, len(g.YValues))
-	for i := range g.Cells {
-		c := g.Cells[i][j]
-		out[i] = AxisPoint{
-			Axis: g.AxisY, Value: g.YValues[i], Label: g.YLabels[i],
-			Nodes: c.Nodes, CPUsPerNode: c.CPUsPerNode,
-			CCNUMA: c.CCNUMA, SCOMA: c.SCOMA, RNUMA: c.RNUMA,
-		}
+	for i, row := range g.Cells {
+		out[i] = row[j].point(g.AxisY, g.YValues[i], g.YLabels[i])
 	}
 	return out
 }
@@ -124,157 +124,63 @@ func (h *Harness) SweepGrid(data []byte, axisX Axis, valuesX []SweepValue, axisY
 	ys := normalizeSweepValues(valuesY)
 
 	// The engine walks the transform axis on the outside (each outer
-	// value encodes one variant trace) and the inner axis along it. A
-	// threshold X axis has no transform of its own, so the axes swap
-	// internally and the cells transpose back on assembly.
+	// value encodes one variant trace) and runs the inner axis along it
+	// as one sweep line. A threshold X axis has no transform of its own,
+	// so the axes swap internally and the cells transpose back on
+	// assembly.
 	swap := axisX == AxisThreshold
 	outerAxis, outerVals, innerAxis, innerVals := axisX, xs, axisY, ys
 	if swap {
 		outerAxis, outerVals, innerAxis, innerVals = axisY, ys, axisX, xs
 	}
-	pts, outerLabels, innerLabels, err := h.gridPoints(data, hdr, outerAxis, outerVals, innerAxis, innerVals)
+	lines := make([][]sweepPoint, len(outerVals))
+	outerLabels := make([]string, len(outerVals))
+	for oi, ov := range outerVals {
+		encO, labelO, err := variantFor(data, hdr, outerAxis, ov)
+		if err != nil {
+			return nil, err
+		}
+		od, err := tracefile.NewReader(bytes.NewReader(encO))
+		if err != nil {
+			return nil, fmt.Errorf("harness: %s variant %s: %w", outerAxis, ov, err)
+		}
+		hdrO := od.Header()
+		// A threshold line shares the outer variant under its own
+		// transformed name (always "@"-suffixed, so it cannot shadow a
+		// catalog app).
+		if lines[oi], err = h.line(encO, hdrO, innerAxis, innerVals, labelO+", ", hdrO.Name); err != nil {
+			return nil, err
+		}
+		outerLabels[oi] = labelO
+	}
+	cells, err := h.assemble(lines...)
 	if err != nil {
 		return nil, err
 	}
-
-	plan := NewPlan()
-	for _, line := range pts {
-		for _, p := range line {
-			plan.AddRuns([]string{p.app}, p.ideal, p.cc, p.scoma, p.rn)
-		}
+	innerLabels := make([]string, len(innerVals))
+	for ii, p := range lines[0] {
+		innerLabels[ii] = p.label
 	}
-	h.Prefetch(plan)
 
+	// cells[oi][ii] is already row-major when the outer axis is Y.
 	g := &Grid{
 		Workload: hdr.Name,
 		AxisX:    axisX, AxisY: axisY,
 		XValues: xs, YValues: ys,
-		XLabels: outerLabels, YLabels: innerLabels,
-		Cells: make([][]GridCell, len(ys)),
+		XLabels: innerLabels, YLabels: outerLabels,
+		Cells: cells,
 	}
-	if swap {
-		g.XLabels, g.YLabels = innerLabels, outerLabels
-	}
-	for i := range g.Cells {
-		g.Cells[i] = make([]GridCell, len(xs))
-		for j := range g.Cells[i] {
-			var p sweepPoint
-			if swap {
-				p = pts[i][j] // outer = Y, inner = X
-			} else {
-				p = pts[j][i] // outer = X, inner = Y
+	if !swap {
+		g.XLabels, g.YLabels = outerLabels, innerLabels
+		g.Cells = make([][]GridCell, len(ys))
+		for i := range g.Cells {
+			g.Cells[i] = make([]GridCell, len(xs))
+			for j := range g.Cells[i] {
+				g.Cells[i][j] = cells[j][i]
 			}
-			cell, err := h.gridCell(p)
-			if err != nil {
-				return nil, err
-			}
-			g.Cells[i][j] = cell
 		}
 	}
 	return g, nil
-}
-
-// gridPoints resolves every cell of a grid with the transform axis
-// outer: pts[oi][ii] is the cell at (outer value oi, inner value ii).
-// outerAxis is never the threshold (SweepGrid swaps first); innerAxis
-// may be a second transform or the config-only threshold axis.
-func (h *Harness) gridPoints(data []byte, hdr tracefile.Header, outerAxis Axis, outerVals []SweepValue, innerAxis Axis, innerVals []SweepValue) (pts [][]sweepPoint, outerLabels, innerLabels []string, err error) {
-	pts = make([][]sweepPoint, len(outerVals))
-	outerLabels = make([]string, len(outerVals))
-	innerLabels = make([]string, len(innerVals))
-	for oi, ov := range outerVals {
-		encO, labelO, err := variantFor(data, hdr, outerAxis, ov)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		outerLabels[oi] = labelO
-		od, err := tracefile.NewReader(bytes.NewReader(encO))
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("harness: %s variant %s: %w", outerAxis, ov, err)
-		}
-		hdrO := od.Header()
-
-		pts[oi] = make([]sweepPoint, len(innerVals))
-		sharedApp := "" // the one registered source a threshold line shares
-		for ii, iv := range innerVals {
-			encI, labelI, err := variantFor(encO, hdrO, innerAxis, iv)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			innerLabels[ii] = labelI
-			label := labelO + ", " + labelI
-			pt := sweepPoint{value: iv, label: label}
-			vh := hdrO
-			if encI != nil {
-				src, err := TraceSource(encI)
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				if err := h.Register(src); err != nil {
-					return nil, nil, nil, err
-				}
-				pt.app = src.Name()
-				vh = src.(*traceSource).Header()
-			} else {
-				// The threshold axis replays the outer variant unchanged;
-				// register it once per line under its own transformed name
-				// (always "@"-suffixed, so it cannot shadow a catalog app).
-				if sharedApp == "" {
-					src, err := TraceSource(encO)
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					if err := h.Register(src); err != nil {
-						return nil, nil, nil, err
-					}
-					sharedApp = src.Name()
-				}
-				pt.app = sharedApp
-			}
-			pt.nodes, pt.cpusPer = vh.Nodes, vh.CPUs/vh.Nodes
-			pt.ideal = sweepSystem(config.Ideal(), vh, label)
-			pt.cc = sweepSystem(config.Base(config.CCNUMA), vh, label)
-			pt.scoma = sweepSystem(config.Base(config.SCOMA), vh, label)
-			pt.rn = sweepSystem(config.Base(config.RNUMA), vh, label)
-			if innerAxis == AxisThreshold {
-				pt.rn.Threshold = int(iv.Num)
-			}
-			pts[oi][ii] = pt
-		}
-		// A threshold line shares its whole replay prefix: one trunk at
-		// the largest threshold, each cell forked from its watermark.
-		if innerAxis == AxisThreshold && len(innerVals) > 1 {
-			if err := h.forkThresholdPoints(encO, pts[oi]); err != nil {
-				return nil, nil, nil, err
-			}
-		}
-	}
-	return pts, outerLabels, innerLabels, nil
-}
-
-// gridCell assembles one resolved point's normalized cell from the
-// store (Prefetch has already run the plan, so these are cache reads).
-func (h *Harness) gridCell(p sweepPoint) (GridCell, error) {
-	base, err := h.Run(p.app, p.ideal)
-	if err != nil {
-		return GridCell{}, err
-	}
-	cell := GridCell{Nodes: p.nodes, CPUsPerNode: p.cpusPer}
-	for _, c := range []struct {
-		sys  config.System
-		into *float64
-	}{
-		{p.cc, &cell.CCNUMA},
-		{p.scoma, &cell.SCOMA},
-		{p.rn, &cell.RNUMA},
-	} {
-		run, err := h.Run(p.app, c.sys)
-		if err != nil {
-			return GridCell{}, err
-		}
-		*c.into = run.Normalized(base)
-	}
-	return cell, nil
 }
 
 // normalizeSweepValues reduces, sorts, and deduplicates axis values

@@ -122,6 +122,55 @@ func TestSweepGridMatchesOneAxisSweeps(t *testing.T) {
 	}
 }
 
+// TestSweepGridSharesStoreWithSweep pins the store sharing between the
+// two engines inside one harness: after a block x threshold grid, the
+// one-axis block sweep of the capture and the threshold sweep of each
+// block variant are pure store reads (zero new simulations) and equal
+// the grid's row and columns.
+func TestSweepGridSharesStoreWithSweep(t *testing.T) {
+	const scale = 0.02
+	data := recordCatalog(t, "fft", scale)
+	d, err := tracefile.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := d.Header()
+
+	blocks := []SweepValue{IntValue(16), IntValue(32)}
+	// 64 is the default threshold: row 1 is the plain block sweep.
+	thresholds := []SweepValue{IntValue(16), IntValue(64)}
+	h := New(scale)
+	g, err := h.SweepGrid(data, AxisBlockSize, blocks, AxisThreshold, thresholds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := h.Simulations()
+
+	row, _, err := h.Sweep(data, AxisBlockSize, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(row, g.Row(1)) {
+		t.Errorf("block sweep differs from grid row T=64:\n got %+v\nwant %+v", row, g.Row(1))
+	}
+	for j, b := range blocks {
+		enc, _, err := variantFor(data, hdr, AxisBlockSize, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, _, err := h.Sweep(enc, AxisThreshold, thresholds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(col, g.Col(j)) {
+			t.Errorf("threshold sweep of b=%s differs from its grid column:\n got %+v\nwant %+v", b, col, g.Col(j))
+		}
+	}
+	if after := h.Simulations(); after != before {
+		t.Errorf("sweeps after the grid ran %d new simulations, want 0", after-before)
+	}
+}
+
 // TestSweepGridForkMatchesDirectReplay checks the trunk-and-fork path a
 // grid's threshold lines ride: each forked cell's R-NUMA run must be
 // bit-identical (stats.Diff empty) to an independent full replay of the

@@ -18,9 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rnuma/internal/addr"
 	"rnuma/internal/config"
-	"rnuma/internal/machine"
 	"rnuma/internal/stats"
 	"rnuma/internal/telemetry"
 	"rnuma/internal/workloads"
@@ -177,47 +175,13 @@ func (h *Harness) simulate(j Job) (*stats.Run, error) {
 		}
 		w = app.Build(cfg)
 	}
-	// Check also releases the workload's resources (trace sources hold an
-	// open file), so it must run on every path once the workload is
-	// loaded — not only after a successful simulation.
-	checked := false
-	check := func() error {
-		if w.Check == nil || checked {
-			return nil
-		}
-		checked = true
-		return w.Check()
-	}
-	defer check() //nolint:errcheck // error path below already reported one
-
-	opts := make([]machine.Option, 0, len(j.opts)+3)
-	opts = append(opts, j.opts...)
-	if !j.skipHomes {
-		opts = append(opts, machine.WithHomes(w.Homes))
-	}
-	opts = append(opts, machine.WithPages(w.SharedPages))
-	if h.Telemetry.Enabled() {
-		opts = append(opts, machine.WithTelemetry(h.Telemetry))
-	}
-	if w.Attribution != nil {
-		opts = append(opts, machine.WithAttribution(w.Attribution))
-	}
-	m, err := machine.New(j.Sys, opts...)
-	if err != nil {
-		return nil, err
-	}
 	if j.Tag != "" {
 		h.logf("running %-9s on %-40s [%s]", j.App, j.Sys.Name, j.Tag)
 	} else {
 		h.logf("running %-9s on %-40s", j.App, j.Sys.Name)
 	}
-	run, err := m.Run(w.Streams)
+	run, err := RunWorkload(w, cfg, j.Sys, WithTelemetry(h.Telemetry), WithMachineOptions(j.opts...))
 	if err != nil {
-		return nil, err
-	}
-	// Replayed traces cannot report I/O or decode errors through
-	// trace.Stream; a failure here means the run saw truncated input.
-	if err := check(); err != nil {
 		return nil, err
 	}
 	h.logf("  %s", run.Summary())
@@ -490,14 +454,3 @@ func (h *Harness) LuImbalance() (topTwoShare float64, err error) {
 
 // AllApps returns the Table 3 application names.
 func AllApps() []string { return workloads.Names() }
-
-// HomesOf is a small helper for tests: builds the workload and returns its
-// homes function.
-func HomesOf(appName string, sys config.System, scale float64) (func(addr.PageNum) addr.NodeID, error) {
-	app, ok := workloads.ByName(appName)
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown application %q", appName)
-	}
-	w := app.Build(workloads.Config{Nodes: sys.Nodes, CPUsPerNode: sys.CPUsPerNode, Geometry: sys.Geometry, Scale: scale})
-	return w.Homes, nil
-}

@@ -71,9 +71,6 @@ func TestUnknownApp(t *testing.T) {
 	if _, err := h.Run("doom", config.Base(config.CCNUMA)); err == nil {
 		t.Error("unknown app accepted")
 	}
-	if _, err := HomesOf("doom", config.Base(config.CCNUMA), 0.3); err == nil {
-		t.Error("HomesOf accepted unknown app")
-	}
 }
 
 func TestMemoization(t *testing.T) {

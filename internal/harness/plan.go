@@ -24,8 +24,7 @@ type Job struct {
 	// with different machine options; empty for plain runs.
 	Tag string
 
-	opts      []machine.Option
-	skipHomes bool // round-robin ablation: omit the workload's home map
+	opts []machine.Option
 }
 
 // NewJob builds a plain (untagged) job.

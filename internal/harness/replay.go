@@ -164,11 +164,21 @@ func NewTraceMachine(h tracefile.Header, sys config.System, opts ...machine.Opti
 // RunWorkload runs one built workload through a machine shaped by its
 // sizing config: the protocol, cache sizes, threshold, and costs come
 // from sys, the shape from cfg, and the page placement and attribution
-// from the workload itself. Like Replay it bypasses the store — it is
-// the one-shot path for a built workload (live-generation tests and
-// benchmarks). WithThresholds is not supported here (workload streams
-// are consume-once).
-func RunWorkload(w *workloads.Workload, cfg workloads.Config, sys config.System, opts ...RunOption) (*stats.Run, error) {
+// from the workload itself; WithMachineOptions options apply last, so
+// they can override any of these. It bypasses the store — it is the
+// one-shot path for a built workload, and the harness's memoized jobs
+// run through it too. WithThresholds is not supported here (workload
+// streams are consume-once). The workload's Check runs on every path,
+// since it also releases the workload's resources (trace sources hold
+// an open file); its error is reported only when the run succeeded.
+func RunWorkload(w *workloads.Workload, cfg workloads.Config, sys config.System, opts ...RunOption) (run *stats.Run, err error) {
+	if w.Check != nil {
+		defer func() {
+			if cerr := w.Check(); err == nil && cerr != nil {
+				run, err = nil, cerr
+			}
+		}()
+	}
 	o := buildRunOptions(opts)
 	if len(o.thresholds) > 0 {
 		return nil, fmt.Errorf("harness: WithThresholds requires a recorded trace (use Replay)")
@@ -189,14 +199,7 @@ func RunWorkload(w *workloads.Workload, cfg workloads.Config, sys config.System,
 	if err != nil {
 		return nil, err
 	}
-	run, err := m.Run(w.Streams)
-	if err != nil {
-		return nil, err
-	}
-	if w.Check != nil {
-		if err := w.Check(); err != nil {
-			return nil, err
-		}
-	}
-	return run, nil
+	// Replayed traces cannot report I/O or decode errors through
+	// trace.Stream; Check surfaces them after the run.
+	return m.Run(w.Streams)
 }

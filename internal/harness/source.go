@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"rnuma/internal/spec"
 	"rnuma/internal/tracefile"
@@ -165,35 +164,6 @@ func TraceSource(data []byte) (Source, error) {
 	}, nil
 }
 
-// RetargetTrace applies a retarget spec to an in-memory trace encoding
-// and wraps the result as a source: one capture becomes one point of a
-// machine-shape sweep. The retargeted encoding is materialized once here
-// (compressed v2, so a few bytes per hundred references) and re-decoded
-// per Load.
-func RetargetTrace(data []byte, spec tracefile.RetargetSpec) (Source, error) {
-	var buf bytes.Buffer
-	if _, err := tracefile.Retarget(&buf, bytes.NewReader(data), spec); err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	return TraceSource(buf.Bytes())
-}
-
-// RetargetedTraceFileSource is RetargetTrace for a trace on disk: it
-// reads the file once, retargets it in memory, and registers the result.
-// A zero-valued spec (keep every dimension, identity policy) degrades to
-// a re-encoded TraceFileSource of the same canonical content.
-func RetargetedTraceFileSource(path string, spec tracefile.RetargetSpec) (Source, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	src, err := RetargetTrace(data, spec)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return src, nil
-}
-
 // ---------------------------------------------------------------------
 
 // TrafficScenarioSource serves a compiled multi-tenant traffic scenario
@@ -233,20 +203,6 @@ func TrafficSource(data []byte, baseDir string, cfg workloads.Config) (*TrafficS
 		sc:  sc,
 		key: fmt.Sprintf("traffic:%s:%x:%x", sc.Name, sum[:8], specSum[:8]),
 	}, nil
-}
-
-// TrafficFileSource is TrafficSource for a traffic spec on disk; phase
-// paths resolve relative to the spec file's directory.
-func TrafficFileSource(path string, cfg workloads.Config) (*TrafficScenarioSource, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	src, err := TrafficSource(data, filepath.Dir(path), cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return src, nil
 }
 
 func (t *TrafficScenarioSource) Name() string { return t.sc.Name }

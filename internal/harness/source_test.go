@@ -108,6 +108,34 @@ func TestTraceSourceShapeMismatch(t *testing.T) {
 	if _, err := h.Run(src.Name(), config.Base(config.RNUMA)); err == nil {
 		t.Error("shape mismatch not rejected")
 	}
+
+	// A retargeted encoding carries its new shape: a 4-node retarget of
+	// an 8x4 capture replays on 4x8 and is rejected on the base 8x4.
+	data := recordCatalog(t, "fft", 0.02)
+	var buf bytes.Buffer
+	if _, err := tracefile.Retarget(&buf, bytes.NewReader(data), tracefile.RetargetSpec{
+		Nodes: 4, Policy: tracefile.RoundRobin(), Name: "fft@4n",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	re, err := TraceSource(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Name() != "fft@4n" {
+		t.Errorf("retarget name = %q", re.Name())
+	}
+	if err := h.Register(re); err != nil {
+		t.Fatal(err)
+	}
+	sys := config.Base(config.RNUMA)
+	sys.Nodes, sys.CPUsPerNode = 4, 8
+	if run, err := h.Run(re.Name(), sys); err != nil || run.ExecCycles <= 0 {
+		t.Errorf("4x8 replay of the 4-node retarget: run %v, err %v", run, err)
+	}
+	if _, err := h.Run(re.Name(), config.Base(config.RNUMA)); err == nil {
+		t.Error("8-node replay of a 4-node retarget accepted")
+	}
 }
 
 // TestRecordReplayIdentity is the round-trip acceptance invariant: for
@@ -376,6 +404,21 @@ const testTrafficScenario = `{
   ]
 }`
 
+// compileTrafficScenario compiles a scenario file the way the CLIs do:
+// phase paths resolve against the file's directory.
+func compileTrafficScenario(t *testing.T, path string, cfg workloads.Config) *TrafficScenarioSource {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := TrafficSource(data, filepath.Dir(path), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
 // writeTrafficScenario drops a scenario plus its phase spec into a temp
 // dir and returns the scenario path.
 func writeTrafficScenario(t *testing.T) string {
@@ -395,10 +438,7 @@ func TestTrafficSourceThroughHarness(t *testing.T) {
 	path := writeTrafficScenario(t)
 	cfg := workloads.DefaultConfig()
 	cfg.Scale = 0.05
-	src, err := TrafficFileSource(path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := compileTrafficScenario(t, path, cfg)
 	if src.Name() != "mix-test" {
 		t.Fatalf("source name = %q", src.Name())
 	}
@@ -407,11 +447,7 @@ func TestTrafficSourceThroughHarness(t *testing.T) {
 	}
 	// The key is a pure function of the spec + shape: an independent
 	// compilation of the same file must memoize identically.
-	src2, err := TrafficFileSource(path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Key() != src2.Key() {
+	if src2 := compileTrafficScenario(t, path, cfg); src.Key() != src2.Key() {
 		t.Errorf("two compilations of one scenario produced keys %q vs %q", src.Key(), src2.Key())
 	}
 	// A scenario compiled for one shape refuses to load on another.
@@ -450,10 +486,7 @@ func TestTrafficParallelMatchesSerial(t *testing.T) {
 		config.Base(config.RNUMA), config.Ideal(),
 	}
 	collect := func(workers int) []*stats.Run {
-		src, err := TrafficFileSource(path, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		src := compileTrafficScenario(t, path, cfg)
 		h := New(0.05)
 		h.Workers = workers
 		h.Telemetry = telemetry.Config{Window: 4096}
@@ -463,6 +496,7 @@ func TestTrafficParallelMatchesSerial(t *testing.T) {
 		h.Prefetch(NewPlan().AddRuns([]string{src.Name()}, systems...))
 		runs := make([]*stats.Run, len(systems))
 		for i, sys := range systems {
+			var err error
 			if runs[i], err = h.Run(src.Name(), sys); err != nil {
 				t.Fatal(err)
 			}
@@ -483,9 +517,6 @@ func TestTrafficParallelMatchesSerial(t *testing.T) {
 func TestTrafficSourceErrors(t *testing.T) {
 	cfg := workloads.DefaultConfig()
 	cfg.Scale = 0.05
-	if _, err := TrafficFileSource(filepath.Join(t.TempDir(), "nope.json"), cfg); err == nil {
-		t.Error("TrafficFileSource accepted a missing file")
-	}
 	if _, err := TrafficSource([]byte(`{"name":`), "", cfg); err == nil {
 		t.Error("TrafficSource accepted truncated JSON")
 	}
@@ -496,10 +527,7 @@ func TestTrafficSourceErrors(t *testing.T) {
 	if _, err := TrafficSource([]byte(missing), t.TempDir(), cfg); err == nil {
 		t.Error("TrafficSource accepted a scenario with a missing phase file")
 	}
-	src, err := TrafficFileSource(writeTrafficScenario(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := compileTrafficScenario(t, writeTrafficScenario(t), cfg)
 	if sc := src.Scenario(); sc == nil || sc.Name != src.Name() {
 		t.Errorf("Scenario() = %+v, want the compiled scenario named %q", sc, src.Name())
 	}

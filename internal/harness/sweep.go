@@ -168,14 +168,7 @@ type AxisPoint struct {
 // RNUMAOverBest reports R-NUMA's time relative to the better base
 // protocol at this point (the paper's bounded-worst-case ratio).
 func (p AxisPoint) RNUMAOverBest() float64 {
-	best := p.CCNUMA
-	if p.SCOMA < best {
-		best = p.SCOMA
-	}
-	if best == 0 {
-		return 0
-	}
-	return p.RNUMA / best
+	return GridCell{CCNUMA: p.CCNUMA, SCOMA: p.SCOMA, RNUMA: p.RNUMA}.RNUMAOverBest()
 }
 
 // humanBytes renders a byte size compactly for point labels.
@@ -200,19 +193,19 @@ func sweepSystem(sys config.System, hdr tracefile.Header, label string) config.S
 	return sys
 }
 
-// sweepPoint is one resolved point of a sweep: the registered source
-// name plus the four systems to replay it under.
+// sweepPoint is one resolved point of a sweep line: its value and axis
+// label, the registered source it replays, and the four systems to
+// replay it under (each shaped to the point's trace variant).
 type sweepPoint struct {
 	value                SweepValue
 	label                string
 	app                  string
-	nodes, cpusPer       int
 	ideal, cc, scoma, rn config.System
 }
 
 // variantFor transforms the capture for one axis value and returns the
-// registered source name, the variant's header, and the point label.
-// The threshold axis returns the capture unchanged.
+// variant's encoding and the point label. The threshold axis returns a
+// nil encoding: the capture replays unchanged.
 func variantFor(data []byte, hdr tracefile.Header, axis Axis, v SweepValue) (enc []byte, label string, err error) {
 	switch axis {
 	case AxisNodes:
@@ -280,88 +273,107 @@ func (h *Harness) Sweep(data []byte, axis Axis, values []SweepValue) ([]AxisPoin
 		return nil, "", fmt.Errorf("harness: %w", err)
 	}
 	hdr := d.Header()
+	// A config-only axis replays the capture unchanged under an
+	// axis-tagged name, so it cannot collide with a same-named catalog
+	// generator or an untransformed -traces row.
+	pts, err := h.line(data, hdr, axis, normalizeSweepValues(values), "", fmt.Sprintf("%s@%s", hdr.Name, axis))
+	if err != nil {
+		return nil, "", err
+	}
+	cells, err := h.assemble(pts)
+	if err != nil {
+		return nil, "", err
+	}
+	out := make([]AxisPoint, len(pts))
+	for i, p := range pts {
+		out[i] = cells[0][i].point(axis, p.value, p.label)
+	}
+	return out, hdr.Name, nil
+}
 
-	vals := normalizeSweepValues(values)
-
-	plan := NewPlan()
+// line resolves one sweep line: every value of axis applied to enc,
+// whose header is hdr. Each transformed variant registers under its own
+// "<name>@<point>" source, so overlapping sweeps and grids share
+// simulations through the store. A threshold line replays enc
+// unchanged, registered once under the name shared, and the
+// trunk-and-fork engine (fork.go) pre-computes its R-NUMA points. Point
+// systems are named "<system> <prefix><label>" for progress logs.
+func (h *Harness) line(enc []byte, hdr tracefile.Header, axis Axis, vals []SweepValue, prefix, shared string) ([]sweepPoint, error) {
 	pts := make([]sweepPoint, 0, len(vals))
+	var sharedSrc Source
 	for _, v := range vals {
-		enc, label, err := variantFor(data, hdr, axis, v)
+		encV, label, err := variantFor(enc, hdr, axis, v)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		pt := sweepPoint{value: v, label: label}
-		vh := hdr
-		if enc != nil {
-			src, err := TraceSource(enc)
-			if err != nil {
-				return nil, "", err
+		src, vh := sharedSrc, hdr
+		if encV != nil {
+			if src, err = TraceSource(encV); err != nil {
+				return nil, err
 			}
-			if err := h.Register(src); err != nil {
-				return nil, "", err
-			}
-			pt.app = src.Name()
 			vh = src.(*traceSource).Header()
-		} else {
-			// Config-only axes replay the capture unchanged; register it
-			// once under an axis-tagged name so it cannot collide with a
-			// same-named catalog generator or an untransformed -traces row.
-			src, err := TraceSource(data)
-			if err != nil {
-				return nil, "", err
+		} else if src == nil {
+			if src, err = TraceSource(enc); err != nil {
+				return nil, err
 			}
-			named := &renamedSource{Source: src, name: fmt.Sprintf("%s@%s", hdr.Name, axis)}
-			if err := h.Register(named); err != nil {
-				return nil, "", err
-			}
-			pt.app = named.Name()
+			src = RenamedSource(src, shared)
+			sharedSrc = src
 		}
-		pt.nodes, pt.cpusPer = vh.Nodes, vh.CPUs/vh.Nodes
-		pt.ideal = sweepSystem(config.Ideal(), vh, label)
-		pt.cc = sweepSystem(config.Base(config.CCNUMA), vh, label)
-		pt.scoma = sweepSystem(config.Base(config.SCOMA), vh, label)
-		pt.rn = sweepSystem(config.Base(config.RNUMA), vh, label)
+		if err := h.Register(src); err != nil {
+			return nil, err
+		}
+		name := prefix + label
+		pt := sweepPoint{
+			value: v, label: label, app: src.Name(),
+			ideal: sweepSystem(config.Ideal(), vh, name),
+			cc:    sweepSystem(config.Base(config.CCNUMA), vh, name),
+			scoma: sweepSystem(config.Base(config.SCOMA), vh, name),
+			rn:    sweepSystem(config.Base(config.RNUMA), vh, name),
+		}
 		if axis == AxisThreshold {
 			pt.rn.Threshold = int(v.Num)
 		}
-		plan.AddRuns([]string{pt.app}, pt.ideal, pt.cc, pt.scoma, pt.rn)
 		pts = append(pts, pt)
 	}
-
 	// Threshold points replay the identical trace and differ only in T, so
 	// they share a prefix: run it once on a trunk machine and fork each
-	// point from a snapshot instead of replaying it per point (fork.go).
+	// point from a snapshot instead of replaying it per point.
 	if axis == AxisThreshold && len(pts) > 1 {
-		if err := h.forkThresholdPoints(data, pts); err != nil {
-			return nil, "", err
+		if err := h.forkThresholdPoints(enc, pts); err != nil {
+			return nil, err
 		}
 	}
+	return pts, nil
+}
 
-	h.Prefetch(plan)
-	out := make([]AxisPoint, 0, len(pts))
-	for _, p := range pts {
-		base, err := h.Run(p.app, p.ideal)
-		if err != nil {
-			return nil, "", err
+// assemble runs every point of the given lines as one plan, then reads
+// each point's normalized cell from the store: cells[l][i] is the cell
+// of lines[l][i].
+func (h *Harness) assemble(lines ...[]sweepPoint) ([][]GridCell, error) {
+	plan := NewPlan()
+	for _, line := range lines {
+		for _, p := range line {
+			plan.AddRuns([]string{p.app}, p.ideal, p.cc, p.scoma, p.rn)
 		}
-		ap := AxisPoint{Axis: axis, Value: p.value, Label: p.label, Nodes: p.nodes, CPUsPerNode: p.cpusPer}
-		for _, c := range []struct {
-			sys  config.System
-			into *float64
-		}{
-			{p.cc, &ap.CCNUMA},
-			{p.scoma, &ap.SCOMA},
-			{p.rn, &ap.RNUMA},
-		} {
-			run, err := h.Run(p.app, c.sys)
-			if err != nil {
-				return nil, "", err
-			}
-			*c.into = run.Normalized(base)
-		}
-		out = append(out, ap)
 	}
-	return out, hdr.Name, nil
+	h.Prefetch(plan)
+	cells := make([][]GridCell, len(lines))
+	for l, line := range lines {
+		cells[l] = make([]GridCell, len(line))
+		for i, p := range line {
+			runs, err := h.runsOf(p.app, []config.System{p.ideal, p.cc, p.scoma, p.rn})
+			if err != nil {
+				return nil, err
+			}
+			cells[l][i] = GridCell{
+				Nodes: p.ideal.Nodes, CPUsPerNode: p.ideal.CPUsPerNode,
+				CCNUMA: runs[1].Normalized(runs[0]),
+				SCOMA:  runs[2].Normalized(runs[0]),
+				RNUMA:  runs[3].Normalized(runs[0]),
+			}
+		}
+	}
+	return cells, nil
 }
 
 // renamedSource registers an existing source under a different

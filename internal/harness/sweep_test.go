@@ -2,8 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -48,9 +46,13 @@ func TestRetargetIdentityReplaysIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		re, err := RetargetTrace(data, tracefile.RetargetSpec{}) // identity, shape kept
-		if err != nil {
+		var buf bytes.Buffer
+		if _, err := tracefile.Retarget(&buf, bytes.NewReader(data), tracefile.RetargetSpec{}); err != nil { // identity, shape kept
 			t.Fatalf("%s: retarget: %v", name, err)
+		}
+		re, err := TraceSource(buf.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		if orig.Key() != re.Key() {
 			t.Errorf("%s: identity retarget changed the memo key: %s vs %s", name, orig.Key(), re.Key())
@@ -284,48 +286,5 @@ func TestParseAxisAndValues(t *testing.T) {
 	}
 	if v := (SweepValue{Num: 1, Den: 2}); v.String() != "1/2" || v.Float() != 0.5 {
 		t.Errorf("SweepValue render: %q %v", v.String(), v.Float())
-	}
-}
-
-// TestRetargetedTraceFileSource exercises the file-path entry point: a
-// trace on disk retargeted at registration replays on the new shape.
-func TestRetargetedTraceFileSource(t *testing.T) {
-	data := recordCatalog(t, "fft", 0.02)
-	path := filepath.Join(t.TempDir(), "m.trace")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	src, err := RetargetedTraceFileSource(path, tracefile.RetargetSpec{
-		Nodes:  4,
-		Policy: tracefile.RoundRobin(),
-		Name:   "fft@4n",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Name() != "fft@4n" {
-		t.Errorf("name = %q", src.Name())
-	}
-	h := New(0.02)
-	if err := h.Register(src); err != nil {
-		t.Fatal(err)
-	}
-	sys := config.Base(config.RNUMA)
-	sys.Nodes, sys.CPUsPerNode = 4, 8
-	run, err := h.Run(src.Name(), sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.ExecCycles <= 0 {
-		t.Error("empty run")
-	}
-	// The retargeted source carries the new shape, so the base 8-node
-	// machine must be rejected at load time.
-	if _, err := h.Run(src.Name(), config.Base(config.RNUMA)); err == nil {
-		t.Error("8-node replay of a 4-node retarget accepted")
-	}
-
-	if _, err := RetargetedTraceFileSource(filepath.Join(t.TempDir(), "absent.trace"), tracefile.RetargetSpec{}); err == nil {
-		t.Error("missing file accepted")
 	}
 }
