@@ -10,7 +10,6 @@
 //	                  [-sweep-axis nodes|dilate|block|page|threshold] [-sweep-values ...]
 //	                  [-grid-axes block,threshold] [-grid-values-a ...] [-grid-values-b ...]
 //	                  [-grid-bound 1.10] [-grid-json grid.json]
-//	                  [-diff a.trace,b.trace] [-diff-protocol rnuma]
 //
 // Each experiment prints the corresponding rows/series of the paper's
 // evaluation (Section 5); see EXPERIMENTS.md for paper-vs-measured values.
@@ -63,11 +62,6 @@
 // to every simulation; -progress reports scheduler throughput to stderr
 // while a parallel plan executes.
 //
-// -diff a.trace,b.trace replays both captures under one configuration
-// (-diff-protocol) and prints the per-counter stats delta table — the
-// report form of `rnuma-trace diffstats`, without the exit-status gate —
-// then exits without running any -exp experiment.
-//
 // Every experiment runs through internal/experiment, the executor the
 // rnuma-serve daemon also uses: this command only parses flags into an
 // experiment.Request, resolves its files (or the -sweep-app recording)
@@ -92,7 +86,6 @@ import (
 	"slices"
 	"strings"
 
-	"rnuma/internal/config"
 	"rnuma/internal/experiment"
 	"rnuma/internal/harness"
 	"rnuma/internal/telemetry"
@@ -114,7 +107,7 @@ type options struct {
 	sweepTrace, sweepApp, sweepAxis, sweepVals string
 	gridAxes, gridValsA, gridValsB             string
 	gridBound                                  float64
-	gridJSON, trafficSpec, diffPair, diffProto string
+	gridJSON, trafficSpec                      string
 }
 
 // usageError marks an error that exits 2 rather than 1.
@@ -146,8 +139,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&o.gridBound, "grid-bound", 0, "knee bound on R-NUMA/best for -exp grid (0 = default 1.10)")
 	fs.StringVar(&o.gridJSON, "grid-json", "", "also write -exp grid's JSON document to this file")
 	fs.StringVar(&o.trafficSpec, "traffic", "", "traffic scenario file for -exp traffic")
-	fs.StringVar(&o.diffPair, "diff", "", "two traces \"a.trace,b.trace\" to replay and diff counter-by-counter")
-	fs.StringVar(&o.diffProto, "diff-protocol", "rnuma", "protocol for -diff: ccnuma, scoma, rnuma, ideal")
 	fs.Int64Var(&o.window, "window", 0, "telemetry window in references (0 = off; -exp timeline defaults it)")
 	fs.BoolVar(&o.progress, "progress", false, "report scheduler progress (jobs done, refs/s) to stderr")
 	if err := fs.Parse(args); err != nil {
@@ -184,12 +175,9 @@ func (o *options) run(stdout, stderr io.Writer) error {
 	// runs; figures are unaffected (they read counters, not timelines).
 	h.Telemetry = telemetry.Config{Window: o.window}
 
-	// -diff is a standalone mode; everything else registers -specs and
-	// -traces, whose rows join every selected figure.
-	if req.Type != "diffstats" {
-		if req.Apps, err = o.register(h, stderr); err != nil {
-			return err
-		}
+	// -specs and -traces rows join every selected figure.
+	if req.Apps, err = o.register(h, stderr); err != nil {
+		return err
 	}
 	if err := experiment.Validate(req, h.Sources()...); err != nil {
 		return usageError{err}
@@ -197,15 +185,6 @@ func (o *options) run(stdout, stderr io.Writer) error {
 	in, err := o.inputs(req)
 	if err != nil {
 		return err
-	}
-	// -diff is the report form of `rnuma-trace diffstats`: it prints the
-	// delta table under a header and exits 0 on any successful comparison.
-	if req.Type == "diffstats" {
-		sys, err := config.SystemByName(o.diffProto)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "diff %s vs %s (%s)\n\n", in[0].Name, in[1].Name, sys.Name)
 	}
 	doc, err := experiment.Execute(h, stdout, req, in...)
 	if err != nil {
@@ -243,13 +222,6 @@ var defaultValues = map[harness.Axis]string{
 // an input file, so they run only when selected by name, never under
 // "all".
 func (o *options) request() (experiment.Request, error) {
-	if o.diffPair != "" {
-		paths := splitList(o.diffPair)
-		if len(paths) != 2 {
-			return experiment.Request{}, usage("-diff wants exactly two traces, got %q", o.diffPair)
-		}
-		return experiment.Request{Type: "diffstats", System: o.diffProto, Artifact: paths[0], ArtifactB: paths[1]}, nil
-	}
 	if figs, ok := figureExps[o.exp]; ok {
 		return experiment.Request{Type: "experiments", Figures: figs}, nil
 	}
@@ -336,8 +308,8 @@ func (o *options) register(h *harness.Harness, stderr io.Writer) ([]string, erro
 	return list, nil
 }
 
-// inputs reads the files a request references: the -diff pair, the
-// -traffic scenario, or the sensitivity experiments' capture — from
+// inputs reads the files a request references: the -traffic scenario,
+// or the sensitivity experiments' capture — from
 // -sweep-trace, or recorded from -sweep-app at the base shape.
 func (o *options) inputs(req experiment.Request) ([]experiment.Input, error) {
 	read := func(kind, path string) (experiment.Input, error) {
@@ -347,13 +319,6 @@ func (o *options) inputs(req experiment.Request) ([]experiment.Input, error) {
 	switch {
 	case req.Type == "experiments":
 		return nil, nil
-	case req.Type == "diffstats":
-		a, err := read(experiment.KindTrace, req.Artifact)
-		if err != nil {
-			return nil, err
-		}
-		b, err := read(experiment.KindTrace, req.ArtifactB)
-		return []experiment.Input{a, b}, err
 	case req.Type == "traffic":
 		in, err := read(experiment.KindTraffic, req.Artifact)
 		return []experiment.Input{in}, err

@@ -41,7 +41,7 @@ func TestUsageExitCodes(t *testing.T) {
 		{"bad grid axis", []string{"-exp", "grid", "-grid-axes", "block,warp"}, `"warp"`},
 		{"bad grid value", []string{"-exp", "grid", "-grid-axes", "block,threshold", "-grid-values-a", "16,zap"}, `"zap"`},
 		{"bad timeline threshold", []string{"-exp", "timeline", "-sweep-values", "16,oops"}, `"oops"`},
-		{"one diff trace", []string{"-diff", "only.trace"}, "exactly two"},
+		{"removed diff flag", []string{"-diff", "a.trace,b.trace"}, "-diff"},
 		{"unknown sweep app", []string{"-exp", "sweep", "-sweep-app", "nosuch", "-sweep-axis", "nodes"}, `"nosuch"`},
 		{"missing traffic scenario", []string{"-exp", "traffic"}, "-traffic"},
 		{"unknown experiment", []string{"-exp", "fig10"}, `"fig10"`},

@@ -3,53 +3,36 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"rnuma/internal/serve"
-	"rnuma/internal/tracefile"
 )
 
 // TestCLIServeParity runs each experiment kind both front ends share
 // twice — once through this command's run() and once as a served job
-// over HTTP — and requires byte-equal text reports. Diffstats may differ
-// only in input names (paths on the CLI, content-qualified artifact
-// names in the daemon) and the CLI's "diff ... vs ..." header.
+// over HTTP — and requires byte-equal text reports. (The diffstats kind's
+// CLI is rnuma-trace diffstats; its parity test lives there.)
 func TestCLIServeParity(t *testing.T) {
 	const scale = "0.05"
 	s := serve.New(serve.Options{Scale: 0.05})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
-	// The diffstats pair: the committed capture and its 2x dilation.
 	data, err := os.ReadFile(ciTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dilated bytes.Buffer
-	if _, err := tracefile.Dilate(&dilated, bytes.NewReader(data), tracefile.DilateSpec{Num: 2, Den: 1, Name: "fft-x2"}); err != nil {
-		t.Fatal(err)
-	}
-	x2Path := filepath.Join(t.TempDir(), "fft-x2.trace")
-	if err := os.WriteFile(x2Path, dilated.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	art := uploadArtifact(t, ts, data)
-	x2 := uploadArtifact(t, ts, dilated.Bytes())
 
 	cases := []struct {
 		name string
 		cli  []string
 		job  serve.JobRequest
-		// names maps served input names to the CLI's.
-		names map[string]string
 	}{
 		{
 			name: "sweep",
@@ -66,29 +49,13 @@ func TestCLIServeParity(t *testing.T) {
 			cli:  []string{"-exp", "fig6", "-apps", "fft", "-scale", scale},
 			job:  serve.JobRequest{Type: "experiments", Figures: []string{"6"}, Apps: []string{"fft"}},
 		},
-		{
-			name: "diffstats",
-			cli:  []string{"-diff", ciTrace + "," + x2Path},
-			job:  serve.JobRequest{Type: "diffstats", Artifact: art.ID, ArtifactB: x2.ID},
-			names: map[string]string{
-				fmt.Sprintf("%s@%s", art.Name, art.ID[:8]): ciTrace,
-				fmt.Sprintf("%s@%s", x2.Name, x2.ID[:8]):   x2Path,
-			},
-		},
 	}
 	for _, tc := range cases {
 		code, cliText, stderr := runCLI(t, tc.cli...)
 		if code != 0 {
 			t.Fatalf("%s: CLI exited %d: %s", tc.name, code, stderr)
 		}
-		served := servedReport(t, ts, tc.job)
-		for from, to := range tc.names {
-			served = strings.ReplaceAll(served, from, to)
-		}
-		if tc.job.Type == "diffstats" {
-			_, cliText, _ = strings.Cut(cliText, "\n\n")
-		}
-		if served != cliText {
+		if served := servedReport(t, ts, tc.job); served != cliText {
 			t.Errorf("%s: served report differs from the CLI's\nserved:\n%s\ncli:\n%s", tc.name, served, cliText)
 		}
 	}

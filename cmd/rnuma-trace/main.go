@@ -3,18 +3,18 @@
 //
 // Usage:
 //
-//	rnuma-trace record -app <name>  [-o out.trace] [-scale S] [-seed N] [-nodes N] [-cpus N] [-v1] [-raw]
-//	rnuma-trace gen    -spec <file> [-o out.trace] [-scale S] [-seed N] [-nodes N] [-cpus N] [-v1] [-raw]
-//	rnuma-trace gen    -traffic <file> [same sizing/format flags]
-//	rnuma-trace cut    <file> [-o out.trace] [-cpus 1,3] [-from N] [-to M] [-v1] [-raw]
-//	rnuma-trace cat    <a> <b> ... [-o out.trace] [-v1] [-raw]
+//	rnuma-trace record -app <name>  [-o out.trace] [-scale S] [-seed N] [-nodes N] [-cpus N]
+//	rnuma-trace gen    -spec <file> [-o out.trace] [-scale S] [-seed N] [-nodes N] [-cpus N]
+//	rnuma-trace gen    -traffic <file> [same sizing flags]
+//	rnuma-trace cut    <file> [-o out.trace] [-cpus 1,3] [-from N] [-to M]
+//	rnuma-trace cat    <a> <b> ... [-o out.trace]
 //	rnuma-trace retarget <file> [-o out.trace] [-nodes N] [-cpus N] [-pages P]
 //	                  [-policy identity|roundrobin|modulo] [-cpu-fold modulo|interleave]
-//	                  [-map file.json] [-name S] [-v1] [-raw]
-//	rnuma-trace retarget-geometry <file> [-o out.trace] [-block N] [-page N] [-name S] [-v1] [-raw]
-//	rnuma-trace dilate <file> [-o out.trace] [-factor N/D] [-clamp N] [-name S] [-v1] [-raw]
+//	                  [-map file.json] [-name S]
+//	rnuma-trace retarget-geometry <file> [-o out.trace] [-block N] [-page N] [-name S]
+//	rnuma-trace dilate <file> [-o out.trace] [-factor N/D] [-clamp N] [-name S]
 //	rnuma-trace diff   <a> <b>
-//	rnuma-trace diffstats <a> <b> [-protocol ccnuma|scoma|rnuma] [-bc B] [-pc P] [-T N] [-soft] [-ideal] [-v]
+//	rnuma-trace diffstats <a> <b> [-protocol ccnuma|scoma|rnuma] [-bc B] [-pc P] [-T N] [-soft] [-ideal] [-v] [-tol P]
 //	rnuma-trace info   <file>
 //	rnuma-trace replay <file> [-protocol ccnuma|scoma|rnuma] [-bc B] [-pc P] [-T N] [-soft] [-ideal]
 //	                  [-window N] [-timeline out.json] [-events out.json] [-cpuprofile f] [-memprofile f]
@@ -25,10 +25,10 @@
 // snapshot replays a trace up to a reference count, then serializes the
 // paused machine's complete state to a checkpoint file; resume restores
 // a checkpoint, seeks the trace's streams past the consumed prefix
-// (without re-decoding it), and finishes the run — optionally under a
+// (without re-decoding it), and finishes the run through harness.Resume
+// — the fork primitive behind cheap threshold sweeps — optionally under a
 // different R-NUMA relocation threshold, which is sound whenever the
-// checkpoint predates the first threshold crossing (the fork primitive
-// behind cheap threshold sweeps).
+// checkpoint predates the first threshold crossing.
 //
 // retarget remaps a trace onto a different machine shape (nodes, CPUs,
 // pages) under a page-remapping policy, so one capture becomes a scaling
@@ -38,9 +38,10 @@
 // compares two traces record by record and reports the first diverging
 // CPU/record index plus a per-CPU summary (exit status 1 when they
 // differ); diffstats replays two traces under the same system
-// configuration and prints the per-counter stats delta table (exit
-// status 1 when the runs differ) — the one-command regression check. All
-// transforms stream, so they compose with cut/cat piping.
+// configuration through internal/experiment — the path the daemon's
+// diffstats job takes — and prints the per-counter stats delta table
+// (exit status 1 when the runs differ), the one-command regression
+// check. All transforms stream, so they compose with cut/cat piping.
 //
 // record captures a built-in application's reference streams; gen does
 // the same for a declarative JSON workload spec (see internal/spec), or —
@@ -56,14 +57,14 @@
 // (dropped CPUs become empty streams, so cuts replay on the recorded
 // machine); cat concatenates traces of identical machine shape — cutting
 // a trace into range slices and catting them back recomposes it exactly.
-// Writers emit the compressed version-2 format by default; -v1 selects
-// the legacy format and -raw keeps version 2 but stores chunks
-// uncompressed. info prints a trace's header and per-CPU record counts;
-// replay runs one through the simulated machine of the recorded shape
-// and prints the run's statistics.
+// Writers emit the compressed version-2 format; the reader still decodes
+// version 1 and uncompressed version-2 files. info prints a trace's
+// header and per-CPU record counts; replay runs one through the simulated
+// machine of the recorded shape and prints the run's statistics.
 //
 // Exit status: 0 on success, 1 on errors (and on diff/diffstats
-// difference), 2 on usage errors.
+// difference), 2 on usage errors (including a negative replay/snapshot
+// -window, diffstats -tol, or resume -T).
 //
 // replay's telemetry flags drive the sampling probe: -window N closes an
 // interval every N references and prints the timeline report; -timeline
@@ -98,7 +99,6 @@ import (
 	"rnuma/internal/profiling"
 	"rnuma/internal/report"
 	"rnuma/internal/spec"
-	"rnuma/internal/stats"
 	"rnuma/internal/telemetry"
 	"rnuma/internal/tracefile"
 	"rnuma/internal/tracefile/snapfile"
@@ -185,22 +185,22 @@ func (c cli) usage() {
 	fmt.Fprintf(c.stderr, `rnuma-trace — capture, inspect, and replay reference traces
 
 subcommands:
-  record -app <name>  [-o file] [-scale S] [-seed N] [-nodes N] [-cpus N] [-v1] [-raw]
+  record -app <name>  [-o file] [-scale S] [-seed N] [-nodes N] [-cpus N]
       capture a built-in application's streams (apps: %s)
-  gen    -spec <file> [-o file] [-scale S] [-seed N] [-nodes N] [-cpus N] [-v1] [-raw]
+  gen    -spec <file> [-o file] [-scale S] [-seed N] [-nodes N] [-cpus N]
       build a declarative spec workload and capture its streams
-  gen    -traffic <file> [same sizing/format flags]
+  gen    -traffic <file> [same sizing flags]
       compile a multi-tenant traffic scenario into one merged trace
-  cut    <file> [-o file] [-cpus 1,3] [-from N] [-to M] [-v1] [-raw]
+  cut    <file> [-o file] [-cpus 1,3] [-from N] [-to M]
       slice a trace: keep a per-CPU record range and/or a CPU subset
-  cat    <a> <b> ... [-o file] [-v1] [-raw]
+  cat    <a> <b> ... [-o file]
       concatenate traces of identical machine shape
   retarget <file> [-o file] [-nodes N] [-cpus N] [-pages P] [-policy identity|roundrobin|modulo]
-           [-cpu-fold modulo|interleave] [-map file.json] [-name S] [-v1] [-raw]
+           [-cpu-fold modulo|interleave] [-map file.json] [-name S]
       remap a trace onto a different machine shape (0/omitted keeps the source value)
-  retarget-geometry <file> [-o file] [-block N] [-page N] [-name S] [-v1] [-raw]
+  retarget-geometry <file> [-o file] [-block N] [-page N] [-name S]
       re-split every address onto a different block/page geometry (bytes; 0 keeps)
-  dilate <file> [-o file] [-factor N/D] [-clamp N] [-name S] [-v1] [-raw]
+  dilate <file> [-o file] [-factor N/D] [-clamp N] [-name S]
       scale every compute gap by a rational factor (model faster/slower CPUs)
   diff   <a> <b>
       compare two traces record by record; exits 1 when they differ
@@ -241,23 +241,6 @@ func sizingFlags(fs *flag.FlagSet) (scale *float64, seed *int64, nodes, cpus *in
 	cpus = fs.Int("cpus", 4, "CPUs per node")
 	out = fs.String("o", "", `output file ("-" = stdout; default <name>.trace)`)
 	return
-}
-
-// formatFlags are the output-encoding flags shared by every writing
-// subcommand; resolve them into writer options after fs.Parse.
-func formatFlags(fs *flag.FlagSet) func() []tracefile.WriterOption {
-	v1 := fs.Bool("v1", false, "write the legacy uncompressed version-1 format")
-	raw := fs.Bool("raw", false, "write version 2 with uncompressed chunks")
-	return func() []tracefile.WriterOption {
-		var opts []tracefile.WriterOption
-		if *v1 {
-			opts = append(opts, tracefile.FormatVersion(tracefile.VersionV1))
-		}
-		if *raw {
-			opts = append(opts, tracefile.Compression(false))
-		}
-		return opts
-	}
 }
 
 // telemetryFlags are replay's sampling-probe flags; resolve the config
@@ -339,7 +322,6 @@ func (c cli) cmdRecord(args []string) error {
 	fs := c.flagSet("record")
 	appName := fs.String("app", "", "application to record: "+strings.Join(workloads.Names(), ", "))
 	scale, seed, nodes, cpus, out := sizingFlags(fs)
-	format := formatFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return errUsage
 	}
@@ -351,7 +333,7 @@ func (c cli) cmdRecord(args []string) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	return c.capture(app.Build(cfg), cfg, *out, format()...)
+	return c.capture(app.Build(cfg), cfg, *out)
 }
 
 func (c cli) cmdGen(args []string) error {
@@ -359,7 +341,6 @@ func (c cli) cmdGen(args []string) error {
 	specPath := fs.String("spec", "", `workload spec file ("-" = stdin)`)
 	trafficPath := fs.String("traffic", "", "traffic scenario file: compile its multi-tenant mix instead of a single spec")
 	scale, seed, nodes, cpus, out := sizingFlags(fs)
-	format := formatFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return errUsage
 	}
@@ -378,7 +359,7 @@ func (c cli) cmdGen(args []string) error {
 			return err
 		}
 		fmt.Fprintf(c.stderr, "traffic %s: %d clients (%s)\n", sc.Name, len(sc.Clients), strings.Join(sc.Clients, ", "))
-		return c.capture(sc.Workload(), cfg, *out, format()...)
+		return c.capture(sc.Workload(), cfg, *out)
 	}
 	var (
 		s   *spec.Spec
@@ -401,12 +382,12 @@ func (c cli) cmdGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	return c.capture(w, cfg, *out, format()...)
+	return c.capture(w, cfg, *out)
 }
 
 // capture drains the workload into a trace file and reports the encoding
 // stats on stderr (stdout may be the trace itself).
-func (c cli) capture(w *workloads.Workload, cfg workloads.Config, out string, opts ...tracefile.WriterOption) error {
+func (c cli) capture(w *workloads.Workload, cfg workloads.Config, out string) error {
 	if out == "" {
 		out = w.Name + ".trace"
 	}
@@ -414,7 +395,7 @@ func (c cli) capture(w *workloads.Workload, cfg workloads.Config, out string, op
 	if err != nil {
 		return err
 	}
-	refs, bytes, err := tracefile.WriteWorkload(dst, w, cfg, opts...)
+	refs, bytes, err := tracefile.WriteWorkload(dst, w, cfg)
 	// A close-time write failure (ENOSPC, EIO) means the trace on disk is
 	// truncated; it must not report as a successful recording.
 	if cerr := cleanup(); err == nil {
@@ -478,7 +459,6 @@ func (c cli) cmdCut(args []string) error {
 	cpuList := fs.String("cpus", "", "comma-separated source CPU indices to keep (default all)")
 	from := fs.Int64("from", 0, "first per-CPU record index to keep")
 	to := fs.Int64("to", 0, "one past the last record index to keep (0 = end)")
-	format := formatFlags(fs)
 	var sel tracefile.CutSpec
 	refs, name, where, err := c.transform(fs, args, func() error {
 		sel = tracefile.CutSpec{From: *from, To: *to}
@@ -494,7 +474,7 @@ func (c cli) cmdCut(args []string) error {
 		}
 		return nil
 	}, func(dst io.Writer, r io.Reader) (int64, error) {
-		return tracefile.Cut(dst, r, sel, format()...)
+		return tracefile.Cut(dst, r, sel)
 	})
 	if err != nil {
 		return err
@@ -506,7 +486,6 @@ func (c cli) cmdCut(args []string) error {
 func (c cli) cmdCat(args []string) error {
 	fs := c.flagSet("cat")
 	out := fs.String("o", "-", `output file ("-" = stdout)`)
-	format := formatFlags(fs)
 	// Accept input files on either side of the flags (cat a b -o out);
 	// "-" names stdin, like every other subcommand.
 	inputs, err := c.parsePositionals(fs, args)
@@ -538,7 +517,7 @@ func (c cli) cmdCat(args []string) error {
 	if err != nil {
 		return err
 	}
-	refs, err := tracefile.Cat(dst, srcs, format()...)
+	refs, err := tracefile.Cat(dst, srcs)
 	if cerr := cleanup(); err == nil {
 		err = cerr
 	}
@@ -558,7 +537,6 @@ func (c cli) cmdRetarget(args []string) error {
 	foldName := fs.String("cpu-fold", "modulo", "cpu fold policy when shrinking: modulo, interleave")
 	mapPath := fs.String("map", "", "explicit remap file (JSON; overrides -policy)")
 	name := fs.String("name", "", "rename the retargeted workload")
-	format := formatFlags(fs)
 	var spec tracefile.RetargetSpec
 	refs, srcName, where, err := c.transform(fs, args, func() error {
 		var policy tracefile.RemapPolicy
@@ -581,7 +559,7 @@ func (c cli) cmdRetarget(args []string) error {
 		spec = tracefile.RetargetSpec{Nodes: *nodes, CPUs: *cpus, Pages: *pages, Policy: policy, CPUFold: fold, Name: *name}
 		return nil
 	}, func(dst io.Writer, r io.Reader) (int64, error) {
-		return tracefile.Retarget(dst, r, spec, format()...)
+		return tracefile.Retarget(dst, r, spec)
 	})
 	if err != nil {
 		return err
@@ -595,7 +573,6 @@ func (c cli) cmdRetargetGeometry(args []string) error {
 	block := fs.Int("block", 0, "target block size in bytes (0 = keep)")
 	page := fs.Int("page", 0, "target page size in bytes (0 = keep)")
 	name := fs.String("name", "", "rename the retargeted workload")
-	format := formatFlags(fs)
 	refs, srcName, where, err := c.transform(fs, args, func() error {
 		if *block == 0 && *page == 0 {
 			return fmt.Errorf("retarget-geometry needs -block and/or -page")
@@ -604,7 +581,7 @@ func (c cli) cmdRetargetGeometry(args []string) error {
 	}, func(dst io.Writer, r io.Reader) (int64, error) {
 		return tracefile.RetargetGeometry(dst, r, tracefile.GeometrySpec{
 			BlockBytes: *block, PageBytes: *page, Name: *name,
-		}, format()...)
+		})
 	})
 	if err != nil {
 		return err
@@ -618,13 +595,12 @@ func (c cli) cmdDilate(args []string) error {
 	factor := fs.String("factor", "1", "gap scale factor, N or N/D (e.g. 2, 1/2, 3/2)")
 	clamp := fs.Int("clamp", 0, "cap scaled gaps at this value (0 = format max 65535)")
 	name := fs.String("name", "", "rename the dilated workload")
-	format := formatFlags(fs)
 	var num, den int64
 	refs, srcName, where, err := c.transform(fs, args, func() (err error) {
 		num, den, err = tracefile.ParseRatio(*factor)
 		return err
 	}, func(dst io.Writer, r io.Reader) (int64, error) {
-		return tracefile.Dilate(dst, r, tracefile.DilateSpec{Num: num, Den: den, Clamp: *clamp, Name: *name}, format()...)
+		return tracefile.Dilate(dst, r, tracefile.DilateSpec{Num: num, Den: den, Clamp: *clamp, Name: *name})
 	})
 	if err != nil {
 		return err
@@ -721,15 +697,18 @@ func (c cli) cmdDiffStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	resA, err := harness.Replay(a, sys)
-	if err != nil {
-		return fmt.Errorf("%s: %w", paths[0], err)
+	var in [2]experiment.Input
+	for i, r := range []io.Reader{a, b} {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return fmt.Errorf("%s: %w", paths[i], err)
+		}
+		in[i] = experiment.Input{Kind: experiment.KindTrace, Name: paths[i], Data: data}
 	}
-	resB, err := harness.Replay(b, sys)
+	d, err := experiment.Diff(harness.New(1), sys, sys, in[0], in[1])
 	if err != nil {
-		return fmt.Errorf("%s: %w", paths[1], err)
+		return err
 	}
-	d := stats.Diff(resA.Run, resB.Run)
 	fmt.Fprintf(c.stdout, "diffstats %s %s (%s)\n\n", paths[0], paths[1], sys.Name)
 	report.DeltaTable(c.stdout, paths[0], paths[1], d, *verbose)
 	if *tol > 0 {
@@ -955,6 +934,11 @@ func (c cli) cmdResume(args []string) error {
 	if err != nil {
 		return err
 	}
+	// A negative threshold would otherwise silently keep the checkpoint's.
+	if *thr < 0 {
+		fmt.Fprintf(c.stderr, "rnuma-trace: -T must be >= 0 (0 keeps the checkpoint's threshold), got %d\n", *thr)
+		return errUsage
+	}
 	if *snapPath == "" {
 		return fmt.Errorf("resume needs -snap <file>")
 	}
@@ -970,35 +954,11 @@ func (c cli) cmdResume(args []string) error {
 	if err != nil {
 		return err
 	}
-	d, err := tracefile.NewReader(bytes.NewReader(data))
+	run, hdr, err := harness.Resume(data, sys, snap)
 	if err != nil {
 		return err
 	}
-	// A probed checkpoint must resume on a probed machine (and vice
-	// versa): reconstruct the telemetry configuration from the cursor the
-	// checkpoint carries, so the continued series picks up mid-window.
-	var tcfg telemetry.Config
-	if snap.Probe != nil {
-		tcfg.Window = snap.Probe.Window
-	}
-	m, sys, err := harness.NewTraceMachine(d.Header(), sys, machine.WithTelemetry(tcfg))
-	if err != nil {
-		return err
-	}
-	if err := m.Restore(snap); err != nil {
-		return err
-	}
-	if err := m.ResumeWith(d.Streams()); err != nil {
-		return err
-	}
-	run, err := m.Finish()
-	if err != nil {
-		return err
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	fmt.Fprintf(c.stdout, "resume %s from %s (workload %s)\n", name, *snapPath, d.Header().Name)
+	fmt.Fprintf(c.stdout, "resume %s from %s (workload %s)\n", name, *snapPath, hdr.Name)
 	report.RunSummary(c.stdout, sys.Name, run)
 	if run.Timeline != nil {
 		fmt.Fprintln(c.stdout)

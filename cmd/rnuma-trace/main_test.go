@@ -49,19 +49,23 @@ func TestUsageExitCodes(t *testing.T) {
 		name string
 		args []string
 		want int
+		// token, when set, must appear on stderr.
+		token string
 	}{
-		{"no-args", nil, 2},
-		{"unknown-subcommand", []string{"bogus"}, 2},
-		{"help", []string{"-h"}, 0},
-		{"bad-flag", []string{"info", "-nonsense"}, 2},
-		{"record-unknown-app", []string{"record", "-app", "nope", "-o", "-"}, 1},
-		{"info-no-file", []string{"info"}, 1},
-		{"replay-extra-positionals", []string{"replay", "a.trace", "b.trace"}, 2},
-		{"diff-one-file", []string{"diff", "a.trace"}, 1},
-		{"diffstats-three-files", []string{"diffstats", "a", "b", "c"}, 1},
-		{"diff-double-stdin", []string{"diff", "-", "-"}, 1},
-		{"replay-negative-window", []string{"replay", "../../testdata/ci/fft.trace", "-window", "-5"}, 2},
-		{"snapshot-negative-window", []string{"snapshot", "../../testdata/ci/fft.trace", "-refs", "100", "-window", "-5"}, 2},
+		{"no-args", nil, 2, ""},
+		{"unknown-subcommand", []string{"bogus"}, 2, ""},
+		{"help", []string{"-h"}, 0, ""},
+		{"bad-flag", []string{"info", "-nonsense"}, 2, ""},
+		{"record-unknown-app", []string{"record", "-app", "nope", "-o", "-"}, 1, ""},
+		{"info-no-file", []string{"info"}, 1, ""},
+		{"replay-extra-positionals", []string{"replay", "a.trace", "b.trace"}, 2, ""},
+		{"diff-one-file", []string{"diff", "a.trace"}, 1, ""},
+		{"diffstats-three-files", []string{"diffstats", "a", "b", "c"}, 1, ""},
+		{"diff-double-stdin", []string{"diff", "-", "-"}, 1, ""},
+		{"replay-negative-window", []string{"replay", "../../testdata/ci/fft.trace", "-window", "-5"}, 2, "-window"},
+		{"snapshot-negative-window", []string{"snapshot", "../../testdata/ci/fft.trace", "-refs", "100", "-window", "-5"}, 2, "-window"},
+		{"resume-negative-threshold", []string{"resume", "../../testdata/ci/fft.trace", "-snap", "x.rnss", "-T", "-5"}, 2, "-T"},
+		{"record-removed-v1", []string{"record", "-app", "fft", "-v1", "-o", "-"}, 2, "-v1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,8 +73,8 @@ func TestUsageExitCodes(t *testing.T) {
 			if code != tc.want {
 				t.Fatalf("exit %d, want %d", code, tc.want)
 			}
-			if strings.HasSuffix(tc.name, "negative-window") && !strings.Contains(stderr, "-window") {
-				t.Errorf("stderr does not name -window: %s", stderr)
+			if !strings.Contains(stderr, tc.token) {
+				t.Errorf("stderr does not name %s: %s", tc.token, stderr)
 			}
 		})
 	}
@@ -229,8 +233,12 @@ func TestDiffStats(t *testing.T) {
 	if err := os.WriteFile(badPath, []byte("not a trace"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code, _, _ := runCLI(t, nil, "diffstats", orig, badPath); code != 1 {
+	code, _, stderr = runCLI(t, nil, "diffstats", orig, badPath)
+	if code != 1 {
 		t.Fatalf("diffstats of corrupt trace exited %d, want 1", code)
+	}
+	if !strings.Contains(stderr, badPath+": ") {
+		t.Errorf("corrupt-side error does not name %s: %s", badPath, stderr)
 	}
 }
 

@@ -44,8 +44,9 @@
 //     resume
 //   - internal/stats — the per-run counter set, plus Diff: the
 //     per-counter delta table (absolute + relative + refetch-map
-//     digest) between two runs that rnuma-trace diffstats and
-//     rnuma-experiments -diff render, and its Tolerance classification
+//     digest) between two runs that rnuma-trace diffstats and the
+//     served diffstats job render (both through experiment.Diff), and
+//     its Tolerance classification
 //     (timing counters may drift within a band, structural counters
 //     must match exactly) behind diffstats -tol
 //   - internal/telemetry — the reference-windowed sampling probe: every

@@ -197,6 +197,7 @@ func TestExecuteErrors(t *testing.T) {
 		{Request{Type: "replay", System: "warp"}, []Input{tr}, `"warp"`},
 		{Request{Type: "replay"}, []Input{{Kind: "blob", Name: "x"}}, `unknown kind "blob"`},
 		{Request{Type: "replay"}, []Input{{Kind: KindTrace, Name: "x", Data: []byte("not a trace")}}, "harness:"},
+		{Request{Type: "diffstats"}, []Input{tr, {Kind: KindTrace, Name: "x", Label: "bad-side", Data: []byte("not a trace")}}, "bad-side: harness:"},
 	} {
 		var buf bytes.Buffer
 		_, err := Execute(h, &buf, tc.req, tc.in...)
@@ -217,6 +218,13 @@ func TestExecuteErrors(t *testing.T) {
 	clash := Input{Kind: KindTrace, Name: tr.Name, Data: dilated.Bytes()}
 	if _, err := Execute(h, new(bytes.Buffer), Request{Type: "replay"}, clash); err == nil || !strings.Contains(err.Error(), "different content") {
 		t.Errorf("name clash: %v", err)
+	}
+
+	// A failed run names its side too.
+	failing := harness.New(0.05)
+	failing.Store = failIdeal{harness.NewMemoryStore()}
+	if _, err := Diff(failing, config.Base(config.RNUMA), config.Ideal(), tr, tr); err == nil || !strings.Contains(err.Error(), "ci-capture: baseline failed") {
+		t.Errorf("failed diff side: %v", err)
 	}
 }
 

@@ -190,7 +190,6 @@ func grid(h *harness.Harness, w io.Writer, req Request, p *parsed, in []Input) (
 }
 
 func diffstats(h *harness.Harness, w io.Writer, req Request, _ *parsed, in []Input) (any, error) {
-	a, b := in[0], in[1]
 	sysA, err := systemFor(req.System, req.Threshold)
 	if err != nil {
 		return nil, err
@@ -201,23 +200,35 @@ func diffstats(h *harness.Harness, w io.Writer, req Request, _ *parsed, in []Inp
 			return nil, err
 		}
 	}
-	if sysA, _, err = registerTrace(h, a, sysA); err != nil {
-		return nil, err
-	}
-	if sysB, _, err = registerTrace(h, b, sysB); err != nil {
-		return nil, err
-	}
-	runA, err := h.Run(a.Name, sysA)
+	d, err := Diff(h, sysA, sysB, in[0], in[1])
 	if err != nil {
 		return nil, err
 	}
-	runB, err := h.Run(b.Name, sysB)
-	if err != nil {
-		return nil, err
+	report.DeltaTable(w, in[0].Name, in[1].Name, d, false)
+	return report.NewDeltaDoc(in[0].Name, in[1].Name, d), nil
+}
+
+// Diff registers two traces, runs a on sysA and b on sysB through the
+// harness store (each system sized to its own trace's recorded shape, so
+// the traces need not share one), and returns the per-counter delta of
+// the two runs. An error on either side names that input. It is the one
+// path to a run diff: the diffstats kind and rnuma-trace diffstats both
+// call it.
+func Diff(h *harness.Harness, sysA, sysB config.System, a, b Input) (*stats.RunDelta, error) {
+	in, sys := [2]Input{a, b}, [2]config.System{sysA, sysB}
+	var err error
+	for i := range in {
+		if sys[i], _, err = registerTrace(h, in[i], sys[i]); err != nil {
+			return nil, fmt.Errorf("%s: %w", in[i].label(), err)
+		}
 	}
-	d := stats.Diff(runA, runB)
-	report.DeltaTable(w, a.Name, b.Name, d, false)
-	return report.NewDeltaDoc(a.Name, b.Name, d), nil
+	var runs [2]*stats.Run
+	for i := range in {
+		if runs[i], err = h.Run(in[i].Name, sys[i]); err != nil {
+			return nil, fmt.Errorf("%s: %w", in[i].label(), err)
+		}
+	}
+	return stats.Diff(runs[0], runs[1]), nil
 }
 
 // figure is one section of the paper's evaluation: run computes its rows

@@ -98,7 +98,7 @@ func thresholdForkRuns(data []byte, sys config.System, thresholds []int, tcfg te
 		}
 		fsys := sys
 		fsys.Threshold = T
-		run, err := forkRun(data, hdr, fsys, snap, tcfg)
+		run, _, err := Resume(data, fsys, snap)
 		if err != nil {
 			return nil, hdr, fmt.Errorf("harness: fork at T=%d: %w", T, err)
 		}
@@ -120,34 +120,44 @@ func thresholdForkRuns(data []byte, sys config.System, thresholds []int, tcfg te
 	return out, hdr, nil
 }
 
-// forkRun completes one sweep point from a trunk snapshot: a fresh
-// machine at the point's own threshold restores the snapshot, seeks a
-// fresh set of trace streams to the consumed positions (the reader
-// skips whole compressed chunks, so the seek is cheap), and replays the
-// remaining suffix to completion.
-func forkRun(data []byte, hdr tracefile.Header, sys config.System, snap *machine.Snapshot, tcfg telemetry.Config) (*stats.Run, error) {
+// Resume finishes a checkpointed run over a recorded trace: a fresh
+// machine of the trace's recorded shape, configured by sys (which must
+// match the checkpoint's shape and protocol; Threshold and Name may
+// differ), restores snap, seeks a fresh set of trace streams to the
+// consumed positions (the reader skips whole compressed chunks, so the
+// seek is cheap), and replays the remaining suffix to completion. A
+// probed checkpoint resumes on a probed machine with the window its
+// cursor carries, so the continued series picks up mid-window exactly
+// as an uninterrupted replay's would. It is the one restore path: every
+// fork of a threshold sweep and rnuma-trace resume run through it.
+func Resume(data []byte, sys config.System, snap *machine.Snapshot) (*stats.Run, tracefile.Header, error) {
+	d, err := tracefile.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, tracefile.Header{}, err
+	}
+	hdr := d.Header()
+	var tcfg telemetry.Config
+	if snap.Probe != nil {
+		tcfg.Window = snap.Probe.Window
+	}
 	m, _, err := NewTraceMachine(hdr, sys, machine.WithTelemetry(tcfg))
 	if err != nil {
-		return nil, err
+		return nil, hdr, err
 	}
 	if err := m.Restore(snap); err != nil {
-		return nil, err
+		return nil, hdr, err
 	}
-	fd, err := tracefile.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	if err := m.ResumeWith(fd.Streams()); err != nil {
-		return nil, err
+	if err := m.ResumeWith(d.Streams()); err != nil {
+		return nil, hdr, err
 	}
 	run, err := m.Finish()
 	if err != nil {
-		return nil, err
+		return nil, hdr, err
 	}
-	if err := fd.Err(); err != nil {
-		return nil, err
+	if err := d.Err(); err != nil {
+		return nil, hdr, err
 	}
-	return run, nil
+	return run, hdr, nil
 }
 
 // uniqInts compacts a sorted slice in place and returns the unique

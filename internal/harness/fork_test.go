@@ -51,9 +51,12 @@ func TestForkReplayIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: snapshot: %v", app, p, err)
 			}
-			forked, err := forkRun(data, hdr, sys, snap, telemetry.Config{})
+			forked, fhdr, err := Resume(data, sys, snap)
 			if err != nil {
 				t.Fatalf("%s/%v: fork: %v", app, p, err)
+			}
+			if !reflect.DeepEqual(hdr, fhdr) {
+				t.Errorf("%s/%v: Resume read header %+v, want %+v", app, p, fhdr, hdr)
 			}
 			if !reflect.DeepEqual(full, forked) {
 				t.Errorf("%s/%v: forked replay diverged from uninterrupted replay:\n full %+v\n fork %+v",

@@ -87,8 +87,8 @@ type Result struct {
 // Replay runs one recorded trace through a machine of its recorded
 // shape: the protocol, cache sizes, threshold, and costs come from sys,
 // while the node/CPU counts, geometry, segment size, and page placement
-// come from the trace header. This is the one-shot path for run-diffing,
-// resumed runs' baselines, and probed threshold forks; it bypasses the
+// come from the trace header. This is the one-shot path for resumed
+// runs' baselines and probed threshold forks; it bypasses the
 // harness store (no Harness receiver) because the callers replay each
 // input exactly once.
 func Replay(r io.Reader, sys config.System, opts ...RunOption) (*Result, error) {
@@ -144,7 +144,7 @@ func replayThresholds(data []byte, sys config.System, o runOptions) (*Result, er
 // cache sizes, threshold, and costs come from sys, while the node/CPU
 // counts, geometry, segment size, and page placement come from the trace
 // header. Returns the merged configuration alongside the machine
-// (Replay, the snapshot/resume CLI, and fork sweeps all share this
+// (Replay, Resume, the snapshot CLI, and the fork trunk all share this
 // construction, which is what makes their machines state-compatible).
 func NewTraceMachine(h tracefile.Header, sys config.System, opts ...machine.Option) (*machine.Machine, config.System, error) {
 	if h.Nodes < 1 || h.CPUs%h.Nodes != 0 {

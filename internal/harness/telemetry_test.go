@@ -106,7 +106,7 @@ func TestTimelineSnapshotResumeContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, hdr := fullRes.Run, fullRes.Header
+	full := fullRes.Run
 	pause := full.Refs/3 + 1 // off any 4096 boundary: the cursor is mid-window
 	if pause%tcfg.Window == 0 {
 		pause++
@@ -147,21 +147,8 @@ func TestTimelineSnapshotResumeContinuity(t *testing.T) {
 		t.Fatal("probe cursor lost in snapfile round-trip")
 	}
 
-	fork, _, err := NewTraceMachine(hdr, sys, machine.WithTelemetry(tcfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fork.Restore(decoded); err != nil {
-		t.Fatal(err)
-	}
-	fd, err := tracefile.NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fork.ResumeWith(fd.Streams()); err != nil {
-		t.Fatal(err)
-	}
-	forked, err := fork.Finish()
+	// Resume takes the probe window from the decoded cursor alone.
+	forked, _, err := Resume(data, sys, decoded)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,9 +196,9 @@ type DeltaDoc struct {
 	B         string `json:"b"`
 	Identical bool   `json:"identical"`
 	Differing int    `json:"differing"`
-	// Counters lists only counters whose values differ; the full table
-	// is reconstructable from the two RunDocs.
-	Counters              []stats.CounterDelta `json:"counters,omitempty"`
+	// Counters lists every counter, unchanged ones included, so the doc
+	// carries the whole table DeltaTable renders (verbose or not).
+	Counters              []stats.CounterDelta `json:"counters"`
 	RefetchDigestA        string               `json:"refetchDigestA"`
 	RefetchDigestB        string               `json:"refetchDigestB"`
 	RefetchPagesDiffering int                  `json:"refetchPagesDiffering,omitempty"`
@@ -206,21 +206,16 @@ type DeltaDoc struct {
 
 // NewDeltaDoc builds a DeltaDoc from a stats.Diff result.
 func NewDeltaDoc(nameA, nameB string, d *stats.RunDelta) DeltaDoc {
-	doc := DeltaDoc{
+	return DeltaDoc{
 		A:                     nameA,
 		B:                     nameB,
 		Identical:             d.Identical(),
 		Differing:             d.Differing,
+		Counters:              d.Counters,
 		RefetchDigestA:        d.RefetchDigestA,
 		RefetchDigestB:        d.RefetchDigestB,
 		RefetchPagesDiffering: d.RefetchPagesDiffering,
 	}
-	for _, c := range d.Counters {
-		if c.Delta != 0 {
-			doc.Counters = append(doc.Counters, c)
-		}
-	}
-	return doc
 }
 
 // FigureDoc is one paper figure or table's rows. Rows is the harness's

@@ -7,12 +7,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"rnuma/internal/harness"
+	"rnuma/internal/report"
+	"rnuma/internal/stats"
 	"rnuma/internal/tracefile"
 	"rnuma/internal/workloads"
 )
@@ -315,6 +318,26 @@ func TestDiffstatsIdentical(t *testing.T) {
 	_, r := fetchReport(t, ts, j.ID, "text")
 	if !strings.Contains(r, "runs are identical") {
 		t.Errorf("self-diff not identical:\n%s", r)
+	}
+
+	// The JSON doc keeps unchanged counters: every int64 field of
+	// stats.Run appears, with A == B.
+	_, body := fetchReport(t, ts, j.ID, "json")
+	var doc report.DeltaDoc
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("decode delta doc: %v\n%s", err, body)
+	}
+	listed := make(map[string]stats.CounterDelta, len(doc.Counters))
+	for _, c := range doc.Counters {
+		listed[c.Name] = c
+	}
+	rt := reflect.TypeOf(stats.Run{})
+	for i := 0; i < rt.NumField(); i++ {
+		if f := rt.Field(i); f.Type.Kind() == reflect.Int64 {
+			if c, ok := listed[f.Name]; !ok || c.A != c.B || c.Delta != 0 {
+				t.Errorf("delta doc counter %s = %+v (listed %v), want A == B", f.Name, c, ok)
+			}
+		}
 	}
 
 	// Different systems must differ.
