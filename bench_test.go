@@ -218,9 +218,10 @@ func BenchmarkAblationPlacement(b *testing.B) {
 }
 
 // BenchmarkFullEvaluation regenerates every figure and table from one
-// deduplicated plan, comparing serial execution against the concurrent
-// scheduler. The workers=1 case is the pre-scheduler behavior; the
-// workers=N case is what cmd/rnuma-experiments does by default.
+// deduplicated plan on one worker and on GOMAXPROCS workers (what
+// cmd/rnuma-experiments does by default). Run with -cpuprofile and
+// -memprofile, the workers=N case is the profile of the evaluation
+// pipeline.
 func BenchmarkFullEvaluation(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -103,11 +103,17 @@
 // (Harness.Store — in-memory by default, persisted across processes by
 // NewDiskStore), so concurrent
 // requests for one configuration simulate exactly once and figure assembly
-// — always serial — produces output byte-identical to a serial run. Each
-// simulation owns a fresh Machine whose per-page hot state (homes, sharing
-// flags, page tables, refetch counters) lives in dense page-indexed slices
-// sized from the workload's segment, keeping map hashing off the
-// per-reference path and mutable state off the shared heap.
+// — always serial — produces output byte-identical to a serial run. The
+// pool takes a plan workload by workload, largest groups first, and
+// generates each catalog or spec workload once per plan: every job of the
+// group replays its own cursors over the same read-only references, and
+// the build is dropped with the group's last job. Each simulation owns a
+// fresh Machine whose per-page hot state (homes, sharing flags, page
+// tables, refetch counters) lives in dense page-indexed slices sized from
+// the workload's segment, and whose block-keyed tables (the directory
+// index, the infinite block cache) are open-addressed dense.BlockTables,
+// keeping Go maps off the per-reference and per-miss paths and mutable
+// state off the shared heap.
 //
 // The benchmarks in bench_test.go regenerate each table/figure; see
 // EXPERIMENTS.md for paper-versus-measured results and README.md for a

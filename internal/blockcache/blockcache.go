@@ -10,7 +10,10 @@
 // invalidations is the machine's job, signaled through the eviction result.
 //
 // A negative size constructs the paper's "infinite block cache" used as the
-// normalization baseline: a fully associative, never-evicting cache.
+// normalization baseline: a fully associative, never-evicting cache. Its
+// entries live by value in an open-addressed block table
+// (dense.BlockTable), so a fill neither hashes through a Go map nor
+// allocates once the table has grown to the run's footprint.
 package blockcache
 
 import (
@@ -18,6 +21,7 @@ import (
 	"sort"
 
 	"rnuma/internal/addr"
+	"rnuma/internal/dense"
 )
 
 // State is the node-level state of a cached remote block.
@@ -59,7 +63,7 @@ type Cache struct {
 	frames   []Entry
 	mask     uint32
 	infinite bool
-	inf      map[addr.BlockNum]*Entry
+	inf      dense.BlockTable[Entry]
 
 	hits   int64
 	misses int64
@@ -69,7 +73,7 @@ type Cache struct {
 // builds the infinite cache.
 func New(frames int) *Cache {
 	if frames < 0 {
-		return &Cache{infinite: true, inf: make(map[addr.BlockNum]*Entry)}
+		return &Cache{infinite: true}
 	}
 	if frames < 1 {
 		frames = 1
@@ -90,7 +94,7 @@ func (c *Cache) frameFor(b addr.BlockNum) *Entry {
 // Lookup returns the entry for the block if resident.
 func (c *Cache) Lookup(b addr.BlockNum) (Entry, bool) {
 	if c.infinite {
-		if e, ok := c.inf[b]; ok {
+		if e, ok := c.inf.Get(b); ok {
 			c.hits++
 			return *e, true
 		}
@@ -112,7 +116,8 @@ func (c *Cache) Fill(b addr.BlockNum, st State, dirty bool, ver uint32) (victim 
 		panic("blockcache: fill with Invalid state")
 	}
 	if c.infinite {
-		c.inf[b] = &Entry{Block: b, State: st, Dirty: dirty, Version: ver}
+		e, _ := c.inf.Put(b)
+		*e = Entry{Block: b, State: st, Dirty: dirty, Version: ver}
 		return Entry{}, false
 	}
 	e := c.frameFor(b)
@@ -128,7 +133,7 @@ func (c *Cache) Fill(b addr.BlockNum, st State, dirty bool, ver uint32) (victim 
 // was resident.
 func (c *Cache) Update(b addr.BlockNum, st State, dirty bool, ver uint32) bool {
 	if c.infinite {
-		if e, ok := c.inf[b]; ok {
+		if e, ok := c.inf.Get(b); ok {
 			e.State, e.Dirty, e.Version = st, dirty, ver
 			return true
 		}
@@ -145,12 +150,7 @@ func (c *Cache) Update(b addr.BlockNum, st State, dirty bool, ver uint32) bool {
 // Invalidate removes the block if resident, returning its prior content.
 func (c *Cache) Invalidate(b addr.BlockNum) (Entry, bool) {
 	if c.infinite {
-		if e, ok := c.inf[b]; ok {
-			old := *e
-			delete(c.inf, b)
-			return old, true
-		}
-		return Entry{}, false
+		return c.inf.Delete(b)
 	}
 	e := c.frameFor(b)
 	if e.State != Invalid && e.Block == b {
@@ -168,7 +168,7 @@ func (c *Cache) Invalidate(b addr.BlockNum) (Entry, bool) {
 // this frame is an authoritative clean copy.
 func (c *Cache) Downgrade(b addr.BlockNum, version uint32) {
 	if c.infinite {
-		if e, ok := c.inf[b]; ok {
+		if e, ok := c.inf.Get(b); ok {
 			e.State, e.Dirty, e.Version = ReadOnly, false, version
 		}
 		return
@@ -190,8 +190,8 @@ func (c *Cache) PageEntries(g addr.Geometry, p addr.PageNum) []Entry {
 // buffer, so relocation can reuse scratch storage.
 func (c *Cache) AppendPageEntries(g addr.Geometry, p addr.PageNum, dst []Entry) []Entry {
 	if c.infinite {
-		for b, e := range c.inf {
-			if g.PageOf(b) == p {
+		for off := 0; off < g.BlocksPerPage(); off++ {
+			if e, ok := c.inf.Get(g.BlockOf(p, off)); ok {
 				dst = append(dst, *e)
 			}
 		}
@@ -209,11 +209,8 @@ func (c *Cache) AppendPageEntries(g addr.Geometry, p addr.PageNum, dst []Entry) 
 // InvalidatePage removes all resident blocks of the page.
 func (c *Cache) InvalidatePage(g addr.Geometry, p addr.PageNum) {
 	if c.infinite {
-		for b, e := range c.inf {
-			if g.PageOf(b) == p {
-				_ = e
-				delete(c.inf, b)
-			}
+		for off := 0; off < g.BlocksPerPage(); off++ {
+			c.inf.Delete(g.BlockOf(p, off))
 		}
 		return
 	}
@@ -235,10 +232,8 @@ func (c *Cache) Misses() int64 { return c.misses }
 // sorted by block number, so snapshot bytes are deterministic.
 func (c *Cache) State() (entries []Entry, hits, misses int64) {
 	if c.infinite {
-		entries = make([]Entry, 0, len(c.inf))
-		for _, e := range c.inf {
-			entries = append(entries, *e)
-		}
+		entries = make([]Entry, 0, c.inf.Len())
+		c.inf.Each(func(_ addr.BlockNum, e *Entry) { entries = append(entries, *e) })
 		sort.Slice(entries, func(i, j int) bool { return entries[i].Block < entries[j].Block })
 		return entries, c.hits, c.misses
 	}
@@ -251,16 +246,16 @@ func (c *Cache) State() (entries []Entry, hits, misses int64) {
 // restore).
 func (c *Cache) SetState(entries []Entry, hits, misses int64) error {
 	if c.infinite {
-		inf := make(map[addr.BlockNum]*Entry, len(entries))
+		var inf dense.BlockTable[Entry]
 		for _, e := range entries {
 			if e.State == Invalid {
 				return fmt.Errorf("blockcache: invalid entry for block %d in infinite-cache snapshot", e.Block)
 			}
-			if _, dup := inf[e.Block]; dup {
+			v, dup := inf.Put(e.Block)
+			if dup {
 				return fmt.Errorf("blockcache: duplicate entry for block %d", e.Block)
 			}
-			ec := e
-			inf[e.Block] = &ec
+			*v = e
 		}
 		c.inf = inf
 		c.hits, c.misses = hits, misses

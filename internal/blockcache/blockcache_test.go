@@ -133,15 +133,30 @@ func TestPageEntriesInfinite(t *testing.T) {
 	g := addr.Default
 	c := New(-1)
 	page := addr.PageNum(7)
-	for off := 0; off < 3; off++ {
+	for _, off := range []int{2, 0, 1} {
 		c.Fill(g.BlockOf(page, off), ReadOnly, false, 0)
 	}
-	if got := c.PageEntries(g, page); len(got) != 3 {
-		t.Errorf("infinite PageEntries = %d, want 3", len(got))
+	others := []addr.BlockNum{0, g.BlockOf(page+1, 0), g.BlockOf(page-1, g.BlocksPerPage()-1)}
+	for _, b := range others {
+		c.Fill(b, ReadWrite, true, 1)
+	}
+	got := c.PageEntries(g, page)
+	if len(got) != 3 {
+		t.Fatalf("infinite PageEntries = %d, want 3", len(got))
+	}
+	for off, e := range got { // block order, whatever the fill order
+		if e.Block != g.BlockOf(page, off) {
+			t.Errorf("PageEntries[%d] is block %d, want %d", off, e.Block, g.BlockOf(page, off))
+		}
 	}
 	c.InvalidatePage(g, page)
 	if got := c.PageEntries(g, page); len(got) != 0 {
 		t.Error("infinite InvalidatePage failed")
+	}
+	for _, b := range others {
+		if _, ok := c.Lookup(b); !ok {
+			t.Errorf("InvalidatePage disturbed block %d of another page", b)
+		}
 	}
 }
 

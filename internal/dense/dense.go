@@ -1,7 +1,9 @@
-// Package dense provides the slice-growth helper shared by the dense,
-// index-addressed hot-path tables: the machine's per-page state, the
-// per-node page tables, and the stats counter tables all grow with the
-// same double-or-need policy.
+// Package dense provides the hot-path tables' storage helpers: the
+// slice-growth policy shared by the dense, index-addressed tables (the
+// machine's per-page state, the per-node page tables, and the stats
+// counter tables all grow with the same double-or-need policy), and
+// BlockTable, the open-addressed block-number table behind the directory
+// and the infinite block cache.
 package dense
 
 // Grow returns s extended to length at least n, doubling the current

@@ -24,12 +24,15 @@
 // protocol free of transient states and makes its invariants directly
 // checkable (see the Check method).
 //
-// Entries live in a pooled slice indexed by a block map, so creating or
-// fetching an entry allocates nothing at steady state. The trade-off is
-// aliasing: pointers returned by Entry/Peek/Each, and the Invalidate
-// slices returned by Fetch/Upgrade, are valid only until the next call
-// that may create an entry or produce another invalidation set. The
-// machine consumes both immediately, within the same protocol action.
+// Entries live in a pooled slice in creation order, located through an
+// open-addressed block table (dense.BlockTable), so creating or fetching
+// an entry neither hashes through a Go map nor allocates at steady state
+// (the pool and the table double as the touched footprint grows). The
+// trade-off is aliasing: pointers returned by Entry/Peek/Each, and the
+// Invalidate slices returned by Fetch/Upgrade, are valid only until the
+// next call that may create an entry or produce another invalidation
+// set. The machine consumes both immediately, within the same protocol
+// action.
 package directory
 
 import (
@@ -37,6 +40,7 @@ import (
 	"math/bits"
 
 	"rnuma/internal/addr"
+	"rnuma/internal/dense"
 )
 
 // Entry is the directory state for one block.
@@ -52,26 +56,27 @@ func bit(n addr.NodeID) uint32 { return 1 << uint(n) }
 // Dir is the machine-wide directory (logically distributed across homes;
 // the home node of a block is a property of its page, held by the machine).
 type Dir struct {
-	index   map[addr.BlockNum]int32
-	entries []Entry         // pooled entry storage, one per touched block
-	blocks  []addr.BlockNum // parallel to entries: which block each describes
+	index   dense.BlockTable[int32] // block -> position in entries
+	entries []Entry                 // pooled entry storage, one per touched block
+	blocks  []addr.BlockNum         // parallel to entries: which block each describes
 	nodes   int
 	scratch []addr.NodeID // reused invalidation-target buffer
 }
 
 // New builds a directory for a machine with the given node count.
 func New(nodes int) *Dir {
-	return &Dir{index: make(map[addr.BlockNum]int32), nodes: nodes}
+	return &Dir{nodes: nodes}
 }
 
 // Entry returns the entry for a block, creating it on first touch. The
 // pointer aliases pooled storage: it is valid only until the next call
 // that may create an entry.
 func (d *Dir) Entry(b addr.BlockNum) *Entry {
-	if i, ok := d.index[b]; ok {
-		return &d.entries[i]
+	i, ok := d.index.Put(b)
+	if ok {
+		return &d.entries[*i]
 	}
-	d.index[b] = int32(len(d.entries))
+	*i = int32(len(d.entries))
 	d.entries = append(d.entries, Entry{Owner: addr.NoNode})
 	d.blocks = append(d.blocks, b)
 	return &d.entries[len(d.entries)-1]
@@ -80,8 +85,8 @@ func (d *Dir) Entry(b addr.BlockNum) *Entry {
 // Peek returns the entry without creating it. The pointer aliases pooled
 // storage (see Entry).
 func (d *Dir) Peek(b addr.BlockNum) (*Entry, bool) {
-	if i, ok := d.index[b]; ok {
-		return &d.entries[i], true
+	if i, ok := d.index.Get(b); ok {
+		return &d.entries[*i], true
 	}
 	return nil, false
 }
@@ -217,8 +222,8 @@ func (d *Dir) SetHomeVersion(b addr.BlockNum, version uint32) {
 
 // HomeVersion returns the version stored at home memory.
 func (d *Dir) HomeVersion(b addr.BlockNum) uint32 {
-	if i, ok := d.index[b]; ok {
-		return d.entries[i].Version
+	if i, ok := d.index.Get(b); ok {
+		return d.entries[*i].Version
 	}
 	return 0
 }
@@ -252,12 +257,13 @@ func (d *Dir) SetState(blocks []addr.BlockNum, entries []Entry) error {
 	if len(blocks) != len(entries) {
 		return fmt.Errorf("directory: %d blocks for %d entries", len(blocks), len(entries))
 	}
-	index := make(map[addr.BlockNum]int32, len(blocks))
+	var index dense.BlockTable[int32]
 	for i, b := range blocks {
-		if _, dup := index[b]; dup {
+		v, dup := index.Put(b)
+		if dup {
 			return fmt.Errorf("directory: duplicate entry for block %d", b)
 		}
-		index[b] = int32(i)
+		*v = int32(i)
 	}
 	d.index = index
 	d.blocks = append(d.blocks[:0], blocks...)

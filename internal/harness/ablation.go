@@ -20,7 +20,8 @@ func ablationJob(appName string, sys config.System, tag string, opts ...machine.
 // runWith executes an application with extra machine options through the
 // scheduler's singleflight cache.
 func (h *Harness) runWith(appName string, sys config.System, tag string, opts ...machine.Option) (*stats.Run, error) {
-	return h.runJob(ablationJob(appName, sys, tag, opts...))
+	run, _, err := h.runJob(ablationJob(appName, sys, tag, opts...), nil)
+	return run, err
 }
 
 // CountingAblation compares R-NUMA with the paper's refetch-only counters

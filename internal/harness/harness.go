@@ -6,9 +6,12 @@
 // system) pair) and executed by a concurrent scheduler: runs are memoized
 // in a singleflight cache, so figures that share configurations (e.g., the
 // ideal baseline) reuse results and concurrent requests for the same
-// configuration run it exactly once. Workers bounds the fan-out; figure
-// assembly is serial and reads only the cache, so results are identical to
-// a serial run regardless of schedule.
+// configuration run it exactly once. The scheduler dispatches a plan
+// workload by workload and generates each catalog or spec workload once
+// per plan, handing every job of that workload its own cursors over the
+// same read-only references. Workers bounds the fan-out; figure assembly
+// is serial and reads only the cache, so results are identical to a
+// serial run regardless of schedule.
 package harness
 
 import (
@@ -36,8 +39,9 @@ type Harness struct {
 	// Log, if non-nil, receives progress lines (serialized across workers).
 	Log io.Writer
 	// Workers bounds how many simulations run concurrently when a plan is
-	// prefetched: 0 means GOMAXPROCS, 1 forces serial execution. Individual
-	// Run calls are always synchronous; Workers only governs plan fan-out.
+	// prefetched: 0 means GOMAXPROCS, 1 runs the plan's jobs one at a
+	// time. Individual Run calls are always synchronous; Workers only
+	// governs plan fan-out.
 	Workers int
 	// Telemetry, when enabled (Window > 0), attaches a sampling probe to
 	// every machine the harness builds: each memoized Run then carries a
@@ -47,7 +51,8 @@ type Harness struct {
 	Telemetry telemetry.Config
 	// Progress, if non-nil, receives periodic jobs-done/total + refs/sec
 	// lines while Prefetch executes a plan (CLIs pass os.Stderr under
-	// -progress).
+	// -progress). The refs are those of the simulations the Prefetch
+	// itself ran: results served by the store add jobs, not refs.
 	Progress io.Writer
 	// Store memoizes simulation results (singleflight: exactly one run
 	// per JobKey, even under concurrent requests). New installs a fresh
@@ -115,18 +120,22 @@ func sysKey(s config.System) string {
 
 // Run executes (with memoization) one application under one system.
 func (h *Harness) Run(appName string, sys config.System) (*stats.Run, error) {
-	return h.runJob(NewJob(appName, sys))
+	run, _, err := h.runJob(NewJob(appName, sys), nil)
+	return run, err
 }
 
 // runJob executes a job through the singleflight store: exactly one
 // simulation per key ever runs, even under concurrent requests (from
-// this harness or any other harness sharing the store).
-func (h *Harness) runJob(j Job) (*stats.Run, error) {
+// this harness or any other harness sharing the store). simulated
+// reports whether this call ran the simulation rather than reading the
+// store. The job's workload comes from b when non-nil (Prefetch's
+// per-plan builds), else it is loaded for this job alone.
+func (h *Harness) runJob(j Job, b *sharedBuild) (run *stats.Run, simulated bool, err error) {
 	key := h.KeyFor(j)
 	st := h.store()
 	run, owner, err := st.StartOrWait(key)
 	if !owner {
-		return run, err
+		return run, false, err
 	}
 	// The claim MUST resolve: a panic in simulate would otherwise leave
 	// every waiter on this key blocked forever. Commit the failure as the
@@ -142,38 +151,54 @@ func (h *Harness) runJob(j Job) (*stats.Run, error) {
 			panic(r)
 		}
 	}()
-	run, err = h.simulate(j)
+	run, err = h.simulate(j, b)
 	h.sims.Add(1)
 	st.Commit(key, run, err)
 	committed = true
-	return run, err
+	return run, true, err
 }
 
-// simulate builds the workload and machine for a job and runs it. Each
-// call constructs a fresh Machine, so concurrent jobs share no mutable
-// state; the workload build is deterministic (fixed seeds), so results do
-// not depend on the schedule. Registered sources (spec files, recorded
-// traces) take precedence over the built-in catalog.
-func (h *Harness) simulate(j Job) (*stats.Run, error) {
-	cfg := workloads.Config{
-		Nodes:       j.Sys.Nodes,
-		CPUsPerNode: j.Sys.CPUsPerNode,
-		Geometry:    j.Sys.Geometry,
+// workloadConfig sizes the workload a system runs: its machine shape and
+// geometry at the harness's scale and seed.
+func (h *Harness) workloadConfig(sys config.System) workloads.Config {
+	return workloads.Config{
+		Nodes:       sys.Nodes,
+		CPUsPerNode: sys.CPUsPerNode,
+		Geometry:    sys.Geometry,
 		Scale:       h.Scale,
 		Seed:        h.Seed,
 	}
+}
+
+// load builds or opens an application's workload. Registered sources
+// (spec files, recorded traces, traffic scenarios) take precedence over
+// the built-in catalog.
+func (h *Harness) load(app string, cfg workloads.Config) (*workloads.Workload, error) {
+	if src := h.source(app); src != nil {
+		return src.Load(cfg)
+	}
+	a, ok := workloads.ByName(app)
+	if !ok {
+		return nil, fmt.Errorf("harness: unknown application %q", app)
+	}
+	return a.Build(cfg), nil
+}
+
+// simulate runs a job on a fresh Machine, so concurrent jobs share no
+// mutable state. Its workload is b's shared build when b is non-nil,
+// else loaded for this job; either way the build is deterministic (fixed
+// seeds), so results do not depend on the schedule.
+func (h *Harness) simulate(j Job, b *sharedBuild) (*stats.Run, error) {
+	cfg := h.workloadConfig(j.Sys)
 	var w *workloads.Workload
-	if src := h.source(j.App); src != nil {
-		var err error
-		if w, err = src.Load(cfg); err != nil {
-			return nil, err
-		}
+	var err error
+	if b != nil {
+		w, err = b.get(func() (*workloads.Workload, error) { return h.load(j.App, cfg) })
 	} else {
-		app, ok := workloads.ByName(j.App)
-		if !ok {
-			return nil, fmt.Errorf("harness: unknown application %q", j.App)
-		}
-		w = app.Build(cfg)
+		w, err = h.load(j.App, cfg)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if j.Tag != "" {
 		h.logf("running %-9s on %-40s [%s]", j.App, j.Sys.Name, j.Tag)

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,6 +11,8 @@ import (
 	"rnuma/internal/config"
 	"rnuma/internal/machine"
 	"rnuma/internal/stats"
+	"rnuma/internal/trace"
+	"rnuma/internal/workloads"
 )
 
 // Job identifies one simulation: an application under a system
@@ -194,43 +197,173 @@ const progressPeriod = 2 * time.Second
 // cache and surface from the (deterministic, serial) assembly instead, so
 // a failing configuration reports the same error no matter how the
 // schedule interleaved.
+//
+// Jobs are dispatched workload by workload (see schedule): a catalog or
+// spec workload is generated at most once per Prefetch, by the first of
+// its jobs that owns a store claim, so a Prefetch over a filled store
+// generates nothing. Dispatch moves to the next workload only after
+// handing out the last job of the current one, and a build is dropped
+// when its last job finishes, so at most workers+1 builds are alive at
+// once and none outlives the call.
 func (h *Harness) Prefetch(p *Plan) {
-	jobs := p.Jobs()
-	w := h.workers()
-	if w > len(jobs) {
-		w = len(jobs)
+	tasks := h.schedule(p.Jobs())
+	if len(tasks) == 0 {
+		return
 	}
-	if w <= 1 || len(jobs) < 2 {
-		return // serial mode: assembly runs each job on first use
-	}
+	w := min(h.workers(), len(tasks))
 	var done, refs atomic.Int64
-	finish := h.progressLoop(len(jobs), &done, &refs)
-	ch := make(chan Job)
+	finish := h.progressLoop(len(tasks), &done, &refs)
+	ch := make(chan task)
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range ch {
-				run, _ := h.runJob(j) //nolint:errcheck // cached; assembly reports it
-				if run != nil {
+			for t := range ch {
+				run, simulated, _ := h.runJob(*t.job, t.build) //nolint:errcheck // cached; assembly reports it
+				if simulated && run != nil {
 					refs.Add(run.Refs)
 				}
+				t.build.release()
 				done.Add(1)
 			}
 		}()
 	}
-	for _, j := range jobs {
-		ch <- j
+	for _, t := range tasks {
+		ch <- t
 	}
 	close(ch)
 	wg.Wait()
 	finish()
 }
 
+// task is one plan job and its workload group's shared build (nil when
+// the job loads its own workload).
+type task struct {
+	job   *Job
+	build *sharedBuild
+}
+
+// workloadKey is a job's workload identity: jobs with equal keys replay
+// identical reference streams.
+type workloadKey struct {
+	app string
+	cfg workloads.Config
+}
+
+// schedule orders a plan's jobs for dispatch: grouped by workload
+// identity, largest groups first so the slowest stragglers are not left
+// for the end, plan order among equal-sized groups and within a group.
+// Groups of generated workloads (catalog apps and spec sources) share
+// one build; recorded traces and traffic scenarios, whose loads open
+// fresh readers or streams over already-compiled references, load per
+// job.
+func (h *Harness) schedule(jobs []Job) []task {
+	type group struct {
+		jobs  []int // indices into jobs, in plan order
+		build *sharedBuild
+	}
+	var groups []*group
+	index := make(map[workloadKey]*group)
+	for i := range jobs {
+		k := workloadKey{jobs[i].App, h.workloadConfig(jobs[i].Sys)}
+		g := index[k]
+		if g == nil {
+			g = &group{}
+			if h.generated(k.app) {
+				g.build = &sharedBuild{}
+			}
+			index[k] = g
+			groups = append(groups, g)
+		}
+		g.jobs = append(g.jobs, i)
+	}
+	sort.SliceStable(groups, func(a, b int) bool { return len(groups[a].jobs) > len(groups[b].jobs) })
+	out := make([]task, 0, len(jobs))
+	for _, g := range groups {
+		if g.build != nil {
+			g.build.left = len(g.jobs)
+		}
+		for _, i := range g.jobs {
+			out = append(out, task{&jobs[i], g.build})
+		}
+	}
+	return out
+}
+
+// generated reports whether app's workload is generated in memory from
+// its config alone — a catalog app or a spec source — so that one build
+// can serve every job of a group. An unknown name counts as a catalog
+// app: its shared build fails with the same error a per-job load would.
+func (h *Harness) generated(app string) bool {
+	switch h.source(app).(type) {
+	case nil, *specSource:
+		return true
+	}
+	return false
+}
+
+// sharedBuild is one workload group's build. The first job that needs it
+// generates it; every job gets its own stream cursors over the build's
+// reference slices, which the machine only reads; the group's last job
+// drops it.
+type sharedBuild struct {
+	mu    sync.Mutex
+	w     *workloads.Workload
+	err   error
+	built bool
+	left  int // jobs of the group not yet finished
+}
+
+// onBuild, when non-nil, sees every shared build made (+1) and dropped
+// (-1); tests use it to count builds and bound how many are alive.
+var onBuild func(delta int)
+
+// get returns the build (generating it with load on first use) with
+// fresh stream cursors for one job. Concurrent callers wait, under the
+// lock, for the one generation. Generated workloads come from a
+// workloads.Builder, whose streams are all slice-backed.
+func (s *sharedBuild) get(load func() (*workloads.Workload, error)) (*workloads.Workload, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.built {
+		s.w, s.err = load()
+		s.built = true
+		if s.w != nil && onBuild != nil {
+			onBuild(1)
+		}
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
+	w := *s.w
+	w.Streams = make([]trace.Stream, len(s.w.Streams))
+	for i, st := range s.w.Streams {
+		w.Streams[i] = st.(*trace.SliceStream).Reopen()
+	}
+	return &w, nil
+}
+
+// release records that one of the group's jobs finished, dropping the
+// build after the last. It is a no-op on a nil build.
+func (s *sharedBuild) release() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.left--; s.left == 0 && s.w != nil {
+		s.w = nil
+		if onBuild != nil {
+			onBuild(-1)
+		}
+	}
+}
+
 // progressLoop starts the periodic progress reporter (a no-op without a
 // Progress writer) and returns the function that stops it and emits the
-// final jobs/refs/throughput summary line.
+// final jobs/refs/throughput summary line. The final line waits for the
+// reporter to exit, so the two never write to Progress at once.
 func (h *Harness) progressLoop(total int, done, refs *atomic.Int64) (finish func()) {
 	if h.Progress == nil {
 		return func() {}
@@ -245,8 +378,9 @@ func (h *Harness) progressLoop(total int, done, refs *atomic.Int64) (finish func
 		fmt.Fprintf(h.Progress, "progress: %d/%d jobs, %.2fM refs, %.2fM refs/s\n",
 			done.Load(), total, float64(r)/1e6, float64(r)/1e6/el)
 	}
-	stop := make(chan struct{})
+	stop, exited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(exited)
 		t := time.NewTicker(progressPeriod)
 		defer t.Stop()
 		for {
@@ -260,6 +394,7 @@ func (h *Harness) progressLoop(total int, done, refs *atomic.Int64) (finish func
 	}()
 	return func() {
 		close(stop)
+		<-exited
 		line()
 	}
 }
@@ -271,7 +406,7 @@ func (h *Harness) RunPlan(p *Plan) (map[string]*stats.Run, error) {
 	h.Prefetch(p)
 	out := make(map[string]*stats.Run, p.Len())
 	for _, j := range p.Jobs() {
-		run, err := h.runJob(j)
+		run, _, err := h.runJob(j, nil)
 		if err != nil {
 			return nil, err
 		}

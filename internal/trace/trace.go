@@ -96,6 +96,11 @@ func (s *SliceStream) SeekRecord(n int64) error {
 	return nil
 }
 
+// Reopen returns a new stream at record 0 over the same slice, leaving s
+// where it is. The slice is shared, not copied: streams only read it, so
+// several cursors may replay one slice concurrently.
+func (s *SliceStream) Reopen() *SliceStream { return &SliceStream{refs: s.refs} }
+
 // Len returns the total number of references in the slice.
 func (s *SliceStream) Len() int { return len(s.refs) }
 
